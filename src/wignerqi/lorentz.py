@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmath import kron
 from .states import DensityOperator, PureState, make_state, to_density
 
 #: Branch conventions for the momentum-superposed channel: ``opposite`` flips
@@ -83,13 +82,40 @@ def _as_angles(angles) -> WignerAngles:
     return WignerAngles(float(o1), float(o2), float(o3))
 
 
+def wigner_unitaries(omegas) -> np.ndarray:
+    """Stack of :func:`wigner_unitary` matrices, shape (n, 2, 2), one per angle."""
+    return np.stack([wigner_unitary(float(omega)) for omega in omegas])
+
+
+def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Row by row np.kron of two (n, p, q) and (n, r, s) stacks.
+    n, p, q = a.shape
+    _, r, s = b.shape
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, p * r, q * s)
+
+
+def product_transform_batch(amplitudes, d1, d2, d3) -> np.ndarray:
+    """Amplitudes of (D1[i] x D2[i] x D3[i]) applied to one three-qubit state.
+
+    ``d1``..``d3`` are (n, 2, 2) stacks of per-qubit rotations (see
+    :func:`wigner_unitaries`) and ``amplitudes`` the 8 input amplitudes; the
+    result has shape (n, 8). Its rows are not validated: callers check them
+    (e.g. with :func:`~wignerqi.states.check_unit_norms`).
+    """
+    u = _kron_stack(_kron_stack(d1, d2), d3)
+    return np.matmul(u, amplitudes)
+
+
 def product_transform(psi: PureState, angles) -> PureState:
-    """Apply D(omega1) x D(omega2) x D(omega3) to a three-qubit state."""
+    """Apply D(omega1) x D(omega2) x D(omega3) to a three-qubit state.
+
+    The one-point case of :func:`product_transform_batch`, with the result
+    validated as a :class:`PureState`.
+    """
     if psi.qubit_count != 3:
         raise ValueError(f"product_transform acts on 3 qubits, got {psi.qubit_count}")
-    o1, o2, o3 = _as_angles(angles)
-    u = kron(wigner_unitary(o1), wigner_unitary(o2), wigner_unitary(o3))
-    return PureState(u @ psi.amplitudes)
+    rotations = (wigner_unitary(omega)[None] for omega in _as_angles(angles))
+    return PureState(product_transform_batch(psi.amplitudes, *rotations)[0])
 
 
 def _half_trig(angles):

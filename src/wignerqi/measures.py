@@ -51,11 +51,16 @@ class TangleBreakdown:
     three_tangle: float
 
 
+def fidelity_pure_batch(amplitudes, target) -> np.ndarray:
+    """Overlap fidelities |<a_i|target>|**2 of each row of ``amplitudes``, shape (n,)."""
+    return np.abs(np.vecdot(amplitudes, target)) ** 2
+
+
 def fidelity_pure(a: PureState, b: PureState) -> float:
-    """Overlap fidelity |<a|b>|**2 of two pure states."""
+    """Overlap fidelity |<a|b>|**2 of two pure states (one row of :func:`fidelity_pure_batch`)."""
     if a.qubit_count != b.qubit_count:
         raise ValueError(f"qubit counts differ: {a.qubit_count} vs {b.qubit_count}")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    return float(fidelity_pure_batch(a.amplitudes[None], b.amplitudes)[0])
 
 
 def fidelity_vs_target(rho: DensityOperator, target: PureState) -> float:

@@ -38,15 +38,26 @@ class PureState:
         n = amps.size
         if n == 0 or n & (n - 1):
             raise NumericValidationError(f"amplitude count {n} is not a power of two")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise NumericValidationError(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL:.0e}")
+        check_unit_norms(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def qubit_count(self) -> int:
         return int(self.amplitudes.size).bit_length() - 1
+
+
+def check_unit_norms(amplitudes) -> None:
+    """Raise unless every amplitude vector (the last axis) has unit norm.
+
+    The tolerance is ``NORM_ATOL``; a non-finite norm fails too. The error
+    names the first offending norm.
+    """
+    norms = np.sqrt(np.vecdot(amplitudes, amplitudes).real)
+    ok = np.abs(norms - 1.0) <= NORM_ATOL
+    if not ok.all():
+        norm = float(norms[~ok][0])
+        raise NumericValidationError(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL:.0e}")
 
 
 @dataclass(frozen=True)

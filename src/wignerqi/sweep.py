@@ -9,18 +9,26 @@ runs are byte-identical.
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
+import contextlib
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .lorentz import MomentumConfig, WignerAngles, momentum_traced_channel, product_transform
-from .measures import average_capacity, concurrence, fidelity_pure, fidelity_vs_target, three_tangle, von_neumann_entropy
-from .states import STATE_TAGS, make_state, reduced, to_density
+from .lorentz import MomentumConfig, WignerAngles, momentum_traced_channel, product_transform_batch, wigner_unitaries
+from .measures import (
+    average_capacity,
+    concurrence,
+    fidelity_pure_batch,
+    fidelity_vs_target,
+    three_tangle,
+    von_neumann_entropy,
+)
+from .states import STATE_TAGS, PureState, check_unit_norms, make_state, reduced, to_density
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,6 +60,15 @@ _PAIRS = {
 }
 
 MODES = ("pure", "traced")
+
+# Grid points evaluated as one batch. run_figure streams each batch to disk,
+# so this also bounds its working memory; of 256-2048, 512 ran the 129x129
+# surfaces fastest.
+CHUNK_POINTS = 512
+# Largest sweep run_sweep accepts, in rows (grid points x measures). Its
+# record list costs a few hundred bytes a row, so this bounds it at a few
+# hundred MB.
+MAX_SWEEP_ROWS = 2**20
 
 
 class AngleParseError(ValueError):
@@ -138,6 +155,7 @@ def parse_tie(text: str) -> tuple[str, str]:
 
 
 def _resolve_ties(ties) -> dict[str, str]:
+    """Map each tied axis to the free axis it ends up copying."""
     tie_map: dict[str, str] = {}
     for tie in ties:
         follower, leader = parse_tie(tie) if isinstance(tie, str) else tie
@@ -146,6 +164,7 @@ def _resolve_ties(ties) -> dict[str, str]:
         if follower in tie_map:
             raise ValueError(f"axis {follower!r} is tied twice")
         tie_map[follower] = leader
+    roots = {}
     for follower in tie_map:
         seen = {follower}
         leader = tie_map[follower]
@@ -154,24 +173,120 @@ def _resolve_ties(ties) -> dict[str, str]:
                 raise ValueError(f"tie cycle involving {follower!r}")
             seen.add(leader)
             leader = tie_map[leader]
-    return tie_map
+        roots[follower] = leader
+    return roots
 
 
-def _evaluate(measure: str, mode: str, psi_transformed, rho):
-    if measure in _FIDELITY_TARGETS:
-        target = make_state(_FIDELITY_TARGETS[measure])
-        if mode == "pure":
-            return fidelity_pure(psi_transformed, target)
-        return fidelity_vs_target(rho, target)
+class _Plan(NamedTuple):
+    """A validated sweep: what to evaluate and over which grid."""
+
+    state: str
+    measures: tuple[str, ...]
+    mode: str
+    alpha: float
+    convention: str
+    shape: tuple[int, ...]  # grid size of each free axis, in AXES order
+    grids: tuple[np.ndarray, ...]  # grid values of each free axis
+    sources: tuple[int, int, int]  # the free axis that omega1..omega3 each read
+
+
+def _plan(state, measures, mode, alpha, omegas, ties, convention) -> _Plan:
+    if state not in STATE_TAGS:
+        raise ValueError(f"unknown state {state!r}; expected one of {STATE_TAGS}")
+    if mode == "momentum_traced":
+        mode = "traced"
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    measures = tuple(measures)
+    if not measures:
+        raise ValueError("at least one measure is required")
+    for measure in measures:
+        if measure not in MEASURE_IDS:
+            raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURE_IDS}")
+    duplicates = sorted({m for m in measures if measures.count(m) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate measure ids {duplicates}; request each measure once")
+    if mode == "traced" and "three_tangle" in measures:
+        raise ValueError("three_tangle is undefined for the traced (mixed) mode; request it in pure mode")
+
+    roots = _resolve_ties(ties)
+    specs = dict(zip(AXES, omegas))
+    free_axes = [axis for axis in AXES if axis not in roots]
+    shape = tuple(int(specs[axis].count) if isinstance(specs[axis], SweepGrid) else 1 for axis in free_axes)
+    rows = math.prod(shape) * len(measures)
+    if rows > MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep of {rows} rows (grid points x measures) exceeds the cap of {MAX_SWEEP_ROWS} rows")
+    grids = tuple(
+        specs[axis].values() if isinstance(specs[axis], SweepGrid) else np.array([float(specs[axis])])
+        for axis in free_axes
+    )
+    sources = tuple(free_axes.index(roots.get(axis, axis)) for axis in AXES)
+    return _Plan(state, measures, mode, float(alpha), convention, shape, grids, sources)
+
+
+def _evaluate(measure: str, psi, rho, targets) -> float:
+    """One measure at one point through the scalar API."""
+    if measure in targets:
+        return fidelity_vs_target(rho, targets[measure])
     if measure == "avg_capacity":
         return average_capacity(rho).average
     if measure == "three_tangle":
-        return three_tangle(psi_transformed).three_tangle
+        return three_tangle(psi).three_tangle
     if measure in _PAIRS:
         return concurrence(reduced(rho, _PAIRS[measure]))
-    if measure == "entropy_a":
-        return von_neumann_entropy(reduced(rho, (0,)))
-    raise ValueError(f"unknown measure {measure!r}")
+    return von_neumann_entropy(reduced(rho, (0,)))  # entropy_a
+
+
+def _chunks(plan: _Plan):
+    """Evaluate the plan in blocks of up to CHUNK_POINTS grid points, in row-major order.
+
+    Yields ``(indices, angles, values)`` per block: ``indices`` holds each
+    point's grid index on every free axis, ``angles`` is the (n, 3) array of
+    its angles, and ``values`` maps each measure to its n values as floats.
+    Pure-mode fidelities come from the batched amplitudes; every other
+    measure is a per-point call into the scalar API, and a density operator
+    is built only for the measures that read one.
+    """
+    psi0 = make_state(plan.state)
+    targets = {m: make_state(_FIDELITY_TARGETS[m]) for m in plan.measures if m in _FIDELITY_TARGETS}
+    if plan.mode == "pure":
+        rotations = [wigner_unitaries(grid) for grid in plan.grids]
+        needs_rho = any(m not in targets and m != "three_tangle" for m in plan.measures)
+    else:
+        config = MomentumConfig(plan.alpha, plan.convention)
+    total = math.prod(plan.shape)
+    for start in range(0, total, CHUNK_POINTS):
+        indices = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, total)), plan.shape)
+        angles = np.stack([plan.grids[s][indices[s]] for s in plan.sources], axis=1)
+        if plan.mode == "pure":
+            amps = product_transform_batch(psi0.amplitudes, *(rotations[s][indices[s]] for s in plan.sources))
+            check_unit_norms(amps)
+            values = {m: fidelity_pure_batch(amps, t.amplitudes).tolist() for m, t in targets.items()}
+            points = ((psi, to_density(psi) if needs_rho else None) for psi in map(PureState, amps))
+        else:
+            values = {}
+            points = (
+                (None, momentum_traced_channel(psi0, WignerAngles(*point), config)) for point in angles.tolist()
+            )
+        pending = [m for m in plan.measures if m not in values]
+        if pending:
+            for measure in pending:
+                values[measure] = []
+            for psi, rho in points:
+                for measure in pending:
+                    values[measure].append(float(_evaluate(measure, psi, rho, targets)))
+        yield indices, angles, values
+
+
+def _records(plan: _Plan, suffix: str = "") -> list[MeasureRecord]:
+    records = []
+    for _, angles, values in _chunks(plan):
+        columns = [values[m] for m in plan.measures]
+        for (o1, o2, o3), row in zip(angles.tolist(), zip(*columns)):
+            records.extend(
+                MeasureRecord(plan.state, plan.alpha, o1, o2, o3, m + suffix, v) for m, v in zip(plan.measures, row)
+            )
+    return records
 
 
 def run_sweep(
@@ -193,77 +308,63 @@ def run_sweep(
     current value instead. Free axes iterate row-major with omega1 outermost.
     In ``traced`` mode the state is sent through the momentum-superposed
     channel at weight ``alpha`` before measuring; ``three_tangle`` is only
-    defined for the pure mode.
+    defined for the pure mode. Each measure may be named once, and sweeps of
+    more than ``MAX_SWEEP_ROWS`` rows (grid points x measures) are refused
+    with ``ValueError`` before anything is allocated.
     """
-    if state not in STATE_TAGS:
-        raise ValueError(f"unknown state {state!r}; expected one of {STATE_TAGS}")
-    if mode == "momentum_traced":
-        mode = "traced"
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    measures = list(measures)
-    if not measures:
-        raise ValueError("at least one measure is required")
-    for measure in measures:
-        if measure not in MEASURE_IDS:
-            raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURE_IDS}")
-    if mode == "traced" and "three_tangle" in measures:
-        raise ValueError("three_tangle is undefined for the traced (mixed) mode; request it in pure mode")
-
-    tie_map = _resolve_ties(ties)
-    specs = {"omega1": omega1, "omega2": omega2, "omega3": omega3}
-    free_axes = [axis for axis in AXES if axis not in tie_map]
-    grids = {}
-    for axis in free_axes:
-        spec = specs[axis]
-        grids[axis] = spec.values() if isinstance(spec, SweepGrid) else np.array([float(spec)])
-
-    psi0 = make_state(state)
-    alpha = float(alpha)
-    records: list[MeasureRecord] = []
-    for values in itertools.product(*(grids[axis] for axis in free_axes)):
-        point = dict(zip(free_axes, (float(v) for v in values)))
-        for follower in AXES:
-            if follower in tie_map:
-                leader = tie_map[follower]
-                while leader in tie_map:
-                    leader = tie_map[leader]
-                point[follower] = point[leader]
-        angles = WignerAngles(point["omega1"], point["omega2"], point["omega3"])
-        if mode == "pure":
-            psi_t = product_transform(psi0, angles)
-            rho = to_density(psi_t)
-        else:
-            psi_t = None
-            rho = momentum_traced_channel(psi0, angles, MomentumConfig(alpha, convention))
-        for measure in measures:
-            value = _evaluate(measure, mode, psi_t, rho)
-            records.append(
-                MeasureRecord(state, alpha, angles.omega1, angles.omega2, angles.omega3, measure, float(value))
-            )
-    return records
+    return _records(_plan(state, measures, mode, alpha, (omega1, omega2, omega3), ties, convention))
 
 
 CSV_HEADER = "state,alpha,omega1,omega2,omega3,measure,value"
 
 
 def _fmt(value: float) -> str:
-    value = float(value)
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
-    return format(value, ".12g")
+    return format(float(value) + 0.0, ".12g")  # + 0.0 turns -0.0 into 0.0
+
+
+@contextlib.contextmanager
+def _staged_csvs():
+    """Yield an opener of CSV files that reach their final names only together.
+
+    Each file is written to a sibling temporary name (not ending in .csv) and
+    moved into place with ``os.replace`` once the block completes; if it
+    raises, every temporary file is removed and no destination is touched.
+    """
+    staged: dict[Path, tuple[Path, object]] = {}
+
+    def open_csv(path: Path):
+        if path not in staged:
+            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            handle = open(temp, "w", encoding="ascii", newline="\n")
+            staged[path] = (temp, handle)
+            handle.write(CSV_HEADER + "\n")
+        return staged[path][1]
+
+    try:
+        yield open_csv
+        for _, handle in staged.values():
+            handle.close()
+        for path, (temp, _) in staged.items():
+            os.replace(temp, path)
+    except BaseException:
+        for temp, handle in staged.values():
+            with contextlib.suppress(OSError):
+                handle.close()
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+        raise
 
 
 def write_csv(records, destination) -> int:
     """Write records as CSV with a fixed header; returns the data row count.
 
     Floats are rendered with 12 significant digits, '.' decimal separator,
-    LF line endings; identical inputs produce byte-identical files.
+    LF line endings; identical inputs produce byte-identical files. The file
+    appears only once complete: an error leaves no file behind.
     """
-    path = Path(destination)
     count = 0
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write(CSV_HEADER + "\n")
+    with _staged_csvs() as open_csv:
+        handle = open_csv(Path(destination))
         for record in records:
             handle.write(
                 f"{record.state},{_fmt(record.alpha)},{_fmt(record.omega1)},"
@@ -301,8 +402,29 @@ _FAMILIES = {
 FIGURE_NAMES = ("1a", "1b", "1c", "2a", "2b", "2c", "3a", "3b", "4a", "4b")
 
 
-def _suffixed(records, suffix: str) -> list[MeasureRecord]:
-    return [dataclasses.replace(r, measure=f"{r.measure}.{suffix}") for r in records]
+def _figure_sweeps(name: str) -> list[tuple[str, _Plan]]:
+    """The sweeps behind a preset, each with the suffix its measure ids get."""
+    pair = ("omega2=omega1",)
+    if name in _SURFACES:
+        state, measure = _SURFACES[name]
+        return [("", _plan(state, [measure], "pure", 0.0, (_GRID_2D, 0.0, _GRID_2D), pair, "opposite"))]
+    if name in _SLICES:
+        state, measures = _SLICES[name]
+        line = ("omega2=omega1", "omega3=omega1")
+        return [("", _plan(state, measures, "pure", 0.0, (_GRID_1D, 0.0, 0.0), line, "opposite"))]
+    if name in _FAMILIES:
+        state, family = _FAMILIES[name]
+        pure_measures = ["avg_capacity"] if family == "capacity" else ["three_tangle"]
+        traced_measures = (
+            ["avg_capacity"] if family == "capacity" else ["concurrence_ab", "concurrence_ac", "concurrence_bc"]
+        )
+        sweeps = []
+        for omega3 in _OMEGA3_FAMILY:
+            axes = (_GRID_1D, 0.0, omega3)
+            sweeps.append((".pure", _plan(state, pure_measures, "pure", 0.0, axes, pair, "opposite")))
+            sweeps.append((".traced", _plan(state, traced_measures, "traced", _TRACED_ALPHA, axes, pair, "opposite")))
+        return sweeps
+    raise ValueError(f"unknown figure preset {name!r}; expected one of {FIGURE_NAMES}")
 
 
 def figure_records(name: str) -> dict[str, list[MeasureRecord]]:
@@ -318,51 +440,38 @@ def figure_records(name: str) -> dict[str, list[MeasureRecord]]:
     concurrences since the three-tangle is undefined for mixed states.
     """
     groups: dict[str, list[MeasureRecord]] = {}
-    if name in _SURFACES:
-        state, measure = _SURFACES[name]
-        groups[measure] = run_sweep(
-            state, [measure], omega1=_GRID_2D, omega3=_GRID_2D, ties=("omega2=omega1",)
-        )
-    elif name in _SLICES:
-        state, measures = _SLICES[name]
-        records = run_sweep(
-            state, list(measures), omega1=_GRID_1D, ties=("omega2=omega1", "omega3=omega1")
-        )
-        for measure in measures:
-            groups[measure] = [r for r in records if r.measure == measure]
-    elif name in _FAMILIES:
-        state, family = _FAMILIES[name]
-        pure_measures = ["avg_capacity"] if family == "capacity" else ["three_tangle"]
-        traced_measures = (
-            ["avg_capacity"] if family == "capacity" else ["concurrence_ab", "concurrence_ac", "concurrence_bc"]
-        )
-        for omega3 in _OMEGA3_FAMILY:
-            pure = run_sweep(state, pure_measures, omega1=_GRID_1D, omega3=omega3, ties=("omega2=omega1",))
-            for record in _suffixed(pure, "pure"):
-                groups.setdefault(record.measure, []).append(record)
-            traced = run_sweep(
-                state,
-                traced_measures,
-                mode="traced",
-                alpha=_TRACED_ALPHA,
-                omega1=_GRID_1D,
-                omega3=omega3,
-                ties=("omega2=omega1",),
-            )
-            for record in _suffixed(traced, "traced"):
-                groups.setdefault(record.measure, []).append(record)
-    else:
-        raise ValueError(f"unknown figure preset {name!r}; expected one of {FIGURE_NAMES}")
+    for suffix, plan in _figure_sweeps(name):
+        for record in _records(plan, suffix):
+            groups.setdefault(record.measure, []).append(record)
     return groups
 
 
 def run_figure(name: str, out_dir) -> list[tuple[Path, int]]:
-    """Run a preset and write one CSV per measure id into ``out_dir``."""
+    """Run a preset and write one CSV per measure id into ``out_dir``.
+
+    Rows are streamed to disk chunk by chunk, with the same bytes that
+    ``write_csv(figure_records(name)[...])`` would produce. The files appear
+    together once the whole preset has been computed; an error leaves none.
+    """
+    sweeps = _figure_sweeps(name)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    written = []
-    for measure_id, records in figure_records(name).items():
-        path = out_path / f"fig{name}_{measure_id.replace('.', '_')}.csv"
-        count = write_csv(records, path)
-        written.append((path, count))
-    return written
+    counts: dict[Path, int] = {}
+    with _staged_csvs() as open_csv:
+        for suffix, plan in sweeps:
+            texts = [np.array([_fmt(v) for v in grid], dtype=object) for grid in plan.grids]
+            head = f"{plan.state},{_fmt(plan.alpha)},"
+            for indices, _, values in _chunks(plan):
+                o1, o2, o3 = (texts[s][indices[s]] for s in plan.sources)
+                for measure in plan.measures:
+                    measure_id = measure + suffix
+                    path = out_path / f"fig{name}_{measure_id.replace('.', '_')}.csv"
+                    column = values[measure]
+                    # the values are floats already: {v + 0.0:.12g} is _fmt(v) inlined
+                    open_csv(path).write(
+                        "".join(
+                            f"{head}{a},{b},{c},{measure_id},{v + 0.0:.12g}\n" for a, b, c, v in zip(o1, o2, o3, column)
+                        )
+                    )
+                    counts[path] = counts.get(path, 0) + len(column)
+    return list(counts.items())

@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from wignerqi import cli
+from wignerqi import cli, sweep
 from wignerqi.qmath import NumericValidationError
 from wignerqi.sweep import CSV_HEADER
 
@@ -63,6 +65,27 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(["figure", "7q", "--out-dir", out]) == 2
 
 
+def test_duplicate_measures_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    base = ["sweep", "--state", "w", "--omega1", "0:1:3", "--out", str(out)]
+    assert run(base + ["--measure", "fidelity_w,entropy_a,fidelity_w"]) == 2
+    assert run(base + ["--measure", "entropy_a", "--measure", "entropy_a"]) == 2
+    assert "duplicate measure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oversized_grid_exit_2(tmp_path, capsys, monkeypatch):
+    def no_grid(self):
+        raise AssertionError("the grid was built before the size check")
+
+    monkeypatch.setattr(sweep.SweepGrid, "values", no_grid)
+    out = tmp_path / "x.csv"
+    axes = ["--omega1", "0:2pi:100000", "--omega2", "0:2pi:100000", "--omega3", "0:2pi:100000"]
+    assert run(["sweep", "--state", "w", "--measure", "fidelity_w", *axes, "--out", str(out)]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_io_error_exit_3(tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"
     code = run(
@@ -78,6 +101,23 @@ def test_numeric_failure_exit_4(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_sweep", explode)
     code = run(["sweep", "--state", "w", "--measure", "entropy_a", "--out", str(tmp_path / "x.csv")])
     assert code == 4
+
+
+def test_figure_numeric_failure_leaves_no_file(tmp_path, monkeypatch):
+    fidelities = sweep.fidelity_pure_batch
+    calls = []
+
+    def failing_after_first_chunk(*args):
+        calls.append(None)
+        if len(calls) > 1:
+            raise NumericValidationError("synthetic invariant violation")
+        return fidelities(*args)
+
+    monkeypatch.setattr(sweep, "fidelity_pure_batch", failing_after_first_chunk)
+    out_dir = tmp_path / "figs"
+    assert run(["figure", "1a", "--out-dir", str(out_dir)]) == 4
+    assert len(calls) == 2
+    assert os.listdir(out_dir) == []
 
 
 def test_figure_1c(tmp_path):

@@ -12,12 +12,14 @@ from wignerqi.lorentz import (
     ghz_coefficients,
     momentum_traced_channel,
     product_transform,
+    product_transform_batch,
     w_coefficients,
     w_variant_coefficients,
+    wigner_unitaries,
     wigner_unitary,
 )
 from wignerqi.qmath import partial_trace
-from wignerqi.states import PureState, make_state, to_density, validate_density
+from wignerqi.states import STATE_TAGS, PureState, make_state, to_density, validate_density
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -112,6 +114,42 @@ class TestProductTransform:
                     ref = np.sort(np.linalg.eigvalsh(partial_trace(base, 3, keep)))
                     got = np.sort(np.linalg.eigvalsh(partial_trace(out, 3, keep)))
                     np.testing.assert_allclose(got, ref, atol=1e-9)
+
+
+class TestProductTransformBatch:
+    """The stacked transform must reproduce the per-point kron product bit for bit."""
+
+    @staticmethod
+    def per_point(psi, angles):
+        # The dense 8x8 route: np.kron of the three rotations, then one matvec.
+        u = np.kron(np.kron(wigner_unitary(angles[0]), wigner_unitary(angles[1])), wigner_unitary(angles[2]))
+        return u @ psi.amplitudes
+
+    def test_bitwise_equal_to_per_point_kron(self, rng):
+        triples = rng.uniform(-10.0, 10.0, (2000, 3))
+        for sign in (1.0, -1.0):
+            angles = sign * triples
+            rotations = [wigner_unitaries(angles[:, k]) for k in range(3)]
+            for tag in STATE_TAGS:
+                psi = make_state(tag)
+                batch = product_transform_batch(psi.amplitudes, *rotations)
+                assert batch.shape == (2000, 8)
+                for row, point in zip(batch, angles):
+                    expected = self.per_point(psi, point)
+                    assert np.array_equal(row, expected)
+                    assert np.array_equal(row, product_transform(psi, tuple(point)).amplitudes)
+
+    def test_single_point_batch(self):
+        psi = make_state("w")
+        angles = (0.3, -1.2, 2.5)
+        batch = product_transform_batch(psi.amplitudes, *(wigner_unitaries([o]) for o in angles))
+        assert batch.shape == (1, 8)
+        assert np.array_equal(batch[0], self.per_point(psi, angles))
+        assert np.array_equal(batch[0], product_transform(psi, angles).amplitudes)
+
+    def test_unitaries_reject_non_finite(self):
+        with pytest.raises(ValueError):
+            wigner_unitaries([0.0, float("inf")])
 
 
 class TestCoefficientTables:

@@ -11,6 +11,7 @@ from wignerqi.measures import (
     average_capacity,
     concurrence,
     fidelity_pure,
+    fidelity_pure_batch,
     fidelity_vs_target,
     one_tangle,
     pair_capacity,
@@ -58,6 +59,13 @@ class TestFidelity:
         assert 0.390 * math.pi < first_zero < 0.394 * math.pi
         w = make_state("w")
         assert fidelity_pure(w, product_transform(w, (first_zero,) * 3)) < 1e-15
+
+    def test_batch_rows_match_single_calls(self, rng):
+        states = [haar_random_state(3, rng) for _ in range(50)]
+        target = make_state("w_prime")
+        batch = fidelity_pure_batch(np.stack([s.amplitudes for s in states]), target.amplitudes)
+        assert batch.shape == (50,)
+        assert batch.tolist() == [fidelity_pure(s, target) for s in states]
 
     def test_symmetric_and_phase_invariant(self, rng):
         for _ in range(20):

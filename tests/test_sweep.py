@@ -1,22 +1,27 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerqi import sweep
 from wignerqi.lorentz import MomentumConfig, momentum_traced_channel, product_transform
 from wignerqi.measures import average_capacity, fidelity_pure
+from wignerqi.qmath import NumericValidationError
 from wignerqi.states import make_state, to_density
 from wignerqi.sweep import (
     AngleParseError,
     CSV_HEADER,
+    MAX_SWEEP_ROWS,
     MeasureRecord,
     SweepGrid,
     figure_records,
     parse_angle,
     parse_axis,
     parse_tie,
+    run_figure,
     run_sweep,
     write_csv,
 )
@@ -221,6 +226,53 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="at least one measure"):
             run_sweep("w", [])
 
+    def test_rejects_duplicate_measures(self):
+        with pytest.raises(ValueError, match="duplicate measure"):
+            run_sweep("w", ["fidelity_w", "entropy_a", "fidelity_w"], omega1=0.3)
+
+    def test_rejects_sweeps_beyond_the_row_cap(self, monkeypatch):
+        def no_grid(self):
+            raise AssertionError("the grid was built before the size check")
+
+        monkeypatch.setattr(SweepGrid, "values", no_grid)
+        huge = SweepGrid(0.0, TWO_PI, 100_000)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            run_sweep("w", ["fidelity_w"], omega1=huge, omega2=huge, omega3=huge)
+        # the cap counts rows, so a grid that fits with one measure can overflow with two
+        side = math.isqrt(MAX_SWEEP_ROWS)
+        grid = SweepGrid(0.0, 1.0, side)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            run_sweep("w", ["fidelity_w", "fidelity_wprime"], omega1=grid, omega3=grid, ties=("omega2=omega1",))
+
+    def test_rows_span_chunk_boundaries_in_grid_order(self):
+        count = sweep.CHUNK_POINTS + 3
+        records = run_sweep("ghz_plus", ["fidelity_gminus", "three_tangle"], omega1=SweepGrid(0.0, 1.0, count))
+        assert len(records) == 2 * count
+        grid = SweepGrid(0.0, 1.0, count).values()
+        assert [r.omega1 for r in records[::2]] == grid.tolist()
+        assert [r.measure for r in records[:4]] == ["fidelity_gminus", "three_tangle"] * 2
+        psi = product_transform(make_state("ghz_plus"), (grid[-1], 0.0, 0.0))
+        assert records[-2].value == fidelity_pure(psi, make_state("ghz_minus"))
+
+    def test_density_operator_only_for_measures_that_read_one(self, monkeypatch):
+        calls = []
+
+        def counting(psi):
+            calls.append(psi)
+            return to_density(psi)
+
+        monkeypatch.setattr(sweep, "to_density", counting)
+        records = run_sweep("w", ["fidelity_w", "three_tangle"], omega1=SweepGrid(0.0, TWO_PI, 9))
+        assert len(records) == 18 and calls == []
+        run_sweep("w", ["fidelity_w", "entropy_a"], omega1=SweepGrid(0.0, TWO_PI, 9))
+        assert len(calls) == 9
+
+    def test_batched_norm_check(self, monkeypatch):
+        transform = sweep.product_transform_batch
+        monkeypatch.setattr(sweep, "product_transform_batch", lambda *args: transform(*args) * (1.0 + 1e-9))
+        with pytest.raises(NumericValidationError, match="norm"):
+            run_sweep("w", ["fidelity_w"], omega1=SweepGrid(0.0, TWO_PI, 9))
+
     def test_momentum_traced_alias(self):
         a = run_sweep("w", ["entropy_a"], mode="traced", alpha=0.4, omega1=0.9)
         b = run_sweep("w", ["entropy_a"], mode="momentum_traced", alpha=0.4, omega1=0.9)
@@ -257,6 +309,19 @@ class TestWriteCsv:
         write_csv(run_sweep("w", ["fidelity_w"], **kwargs), a)
         write_csv(run_sweep("w", ["fidelity_w"], **kwargs), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failure_leaves_no_file_and_keeps_the_old_one(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("previous contents\n")
+
+        def records():
+            yield MeasureRecord("w", 0.0, 0.0, 0.0, 0.0, "fidelity_w", 1.0)
+            raise NumericValidationError("synthetic failure mid-write")
+
+        with pytest.raises(NumericValidationError):
+            write_csv(records(), path)
+        assert path.read_text() == "previous contents\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
 
     def test_twelve_significant_digits(self, tmp_path):
         path = tmp_path / "digits.csv"
@@ -296,3 +361,67 @@ class TestFigurePresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown figure preset"):
             figure_records("9z")
+
+
+class TestStreamedFigures:
+    def test_streamed_surface_equals_list_route(self, tmp_path):
+        (path, count), = run_figure("1a", tmp_path / "streamed")
+        records = run_sweep(
+            "ghz_plus",
+            ["fidelity_gplus"],
+            omega1=SweepGrid(0.0, TWO_PI, 129),
+            omega3=SweepGrid(0.0, TWO_PI, 129),
+            ties=("omega2=omega1",),
+        )
+        listed = tmp_path / "listed.csv"
+        assert write_csv(records, listed) == count == 129 * 129
+        assert path.read_bytes() == listed.read_bytes()
+
+    def test_streamed_family_equals_grouped_records(self, tmp_path):
+        written = run_figure("4a", tmp_path)
+        groups = figure_records("4a")
+        assert [path.name for path, _ in written] == [
+            f"fig4a_{measure.replace('.', '_')}.csv" for measure in groups
+        ]
+        for (path, count), records in zip(written, groups.values()):
+            listed = tmp_path / "listed.csv.txt"
+            assert write_csv(records, listed) == count
+            assert path.read_bytes() == listed.read_bytes()
+
+    @pytest.mark.parametrize("name", ["1a", "1b", "2a", "2b", "1c", "2c"])
+    def test_batched_fidelity_text_equals_per_point_vdot(self, tmp_path, name, per_point_amplitudes):
+        # Recompute every row the per-point way: one transform and one np.vdot per point.
+        for path, _ in run_figure(name, tmp_path):
+            lines = path.read_text().splitlines()
+            assert lines[0] == CSV_HEADER
+            for line in lines[1:]:
+                state, alpha, o1, o2, o3, measure, value = line.split(",")
+                angles = tuple(AXIS_VALUES[name][text] for text in (o1, o2, o3))
+                target = make_state(FIDELITY_TARGETS[measure]).amplitudes
+                expected = abs(np.vdot(per_point_amplitudes(state, angles), target)) ** 2
+                assert value == format(expected, ".12g"), line
+
+
+FIDELITY_TARGETS = {
+    "fidelity_gplus": "ghz_plus",
+    "fidelity_gminus": "ghz_minus",
+    "fidelity_w": "w",
+    "fidelity_wprime": "w_prime",
+}
+AXIS_VALUES = {
+    name: {format(float(v), ".12g"): float(v) for v in SweepGrid(0.0, TWO_PI, count).values()}
+    for name, count in {"1a": 129, "1b": 129, "2a": 129, "2b": 129, "1c": 257, "2c": 257}.items()
+}
+
+
+@pytest.fixture(scope="module")
+def per_point_amplitudes():
+    """product_transform per point, memoized for the module (1a/1b and 2a/2b share their states)."""
+    cache = {}
+
+    def amplitudes(state, angles):
+        if (state, angles) not in cache:
+            cache[state, angles] = product_transform(make_state(state), angles).amplitudes
+        return cache[state, angles]
+
+    return amplitudes
