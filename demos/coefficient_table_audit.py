@@ -13,12 +13,11 @@ import numpy as np
 from wignerqi import (
     WignerAngles,
     audit_w_coefficient_table,
-    ghz_coefficients,
     make_state,
     product_transform,
-    w_coefficients,
     w_variant_coefficients,
 )
+from wignerqi.oracle import ghz_coefficients, w_coefficients
 
 rng = np.random.default_rng(3)
 angles = WignerAngles(*rng.uniform(0, 2 * np.pi, 3))

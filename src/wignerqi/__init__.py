@@ -4,8 +4,9 @@ Library for transforming the four canonical three-qubit states under
 per-qubit Wigner rotations and quantifying the result: fidelities against
 the untransformed states, pairwise channel capacities and their average,
 Wootters concurrence, and the three-tangle. Includes deterministic grid
-sweeps with CSV output (see ``wignerqi.cli`` or the ``wignerqi`` command)
-and slow reference implementations in ``wignerqi.oracle`` for testing.
+sweeps with CSV output (see ``wignerqi.cli`` or the ``wignerqi`` command);
+slow reference routes and the closed-form amplitude tables that check the
+fast paths are in ``wignerqi.oracle``.
 """
 
 from .lorentz import (
@@ -13,10 +14,8 @@ from .lorentz import (
     WignerAngles,
     WTableReport,
     audit_w_coefficient_table,
-    ghz_coefficients,
     momentum_traced_channel,
     product_transform,
-    w_coefficients,
     w_variant_coefficients,
     wigner_unitary,
 )
@@ -33,29 +32,18 @@ from .measures import (
     three_tangle,
     von_neumann_entropy,
 )
-from .qmath import (
-    NumericValidationError,
-    det2,
-    eig_hermitian,
-    kron,
-    matrix_sqrt_psd,
-    partial_trace,
-)
+from .qmath import NumericValidationError
 from .states import (
     STATE_TAGS,
-    DensityDiagnostics,
     DensityOperator,
     PureState,
     make_state,
     reduced,
     to_density,
-    validate_density,
 )
 from .sweep import (
     MEASURE_IDS,
-    MeasureRecord,
     SweepGrid,
-    parse_angle,
     run_figure,
     run_sweep,
     write_csv,
@@ -66,10 +54,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityBreakdown",
     "CapacityClampWarning",
-    "DensityDiagnostics",
     "DensityOperator",
     "MEASURE_IDS",
-    "MeasureRecord",
     "MomentumConfig",
     "NumericValidationError",
     "PureState",
@@ -81,28 +67,19 @@ __all__ = [
     "audit_w_coefficient_table",
     "average_capacity",
     "concurrence",
-    "det2",
-    "eig_hermitian",
     "fidelity_pure",
     "fidelity_vs_target",
-    "ghz_coefficients",
-    "kron",
     "make_state",
-    "matrix_sqrt_psd",
     "momentum_traced_channel",
     "one_tangle",
     "pair_capacity",
-    "parse_angle",
-    "partial_trace",
     "product_transform",
     "reduced",
     "run_figure",
     "run_sweep",
     "three_tangle",
     "to_density",
-    "validate_density",
     "von_neumann_entropy",
-    "w_coefficients",
     "w_variant_coefficients",
     "wigner_unitary",
     "write_csv",

@@ -4,10 +4,9 @@ A boost observed from a moving frame rotates the spin of each massive
 particle through a momentum-dependent Wigner angle. With all momenta along
 the z axis the per-particle action is a real rotation by half the Wigner
 angle, and a product of three such rotations carries any three-qubit state
-into its boosted form. This module provides that transform, closed-form
-expansions of the transformed GHZ and W amplitudes, and the mixed channel
-obtained when the boost acts on a two-branch momentum superposition whose
-spin part is then read out alone.
+into its boosted form. This module provides that transform and the mixed
+channel obtained when the boost acts on a two-branch momentum superposition
+whose spin part is then read out alone.
 
 A note on the closed-form W table: a transcription of these eight
 amplitudes circulates in which the entries are actually the expansion of
@@ -17,7 +16,7 @@ textually identical). :func:`audit_w_coefficient_table` evaluates that
 variant literally and reports exactly which entries disagree with the
 direct tensor computation. The corresponding GHZ table is sound except for
 one garbled entry, whose corrected form ``(s1*c2*c3 + c1*s2*s3)/sqrt(2)``
-is what :func:`ghz_coefficients` evaluates.
+is what :func:`wignerqi.oracle.ghz_coefficients` evaluates.
 """
 
 from __future__ import annotations
@@ -124,49 +123,6 @@ def _half_trig(angles):
         math.cos(0.5 * o1), math.sin(0.5 * o1),
         math.cos(0.5 * o2), math.sin(0.5 * o2),
         math.cos(0.5 * o3), math.sin(0.5 * o3),
-    )
-
-
-def ghz_coefficients(angles) -> np.ndarray:
-    """Closed-form amplitudes of the boosted ghz_plus state.
-
-    Componentwise equal to ``product_transform(make_state("ghz_plus"), angles)``;
-    kept as an explicit trigonometric expansion so the two routes check each
-    other.
-    """
-    c1, s1, c2, s2, c3, s3 = _half_trig(angles)
-    r = 1.0 / math.sqrt(2.0)
-    return np.array(
-        [
-            (c1 * c2 * c3 - s1 * s2 * s3) * r,
-            (c1 * c2 * s3 + s1 * s2 * c3) * r,
-            (c1 * s2 * c3 + s1 * c2 * s3) * r,
-            (c1 * s2 * s3 - s1 * c2 * c3) * r,
-            (s1 * c2 * c3 + c1 * s2 * s3) * r,
-            (s1 * c2 * s3 - c1 * s2 * c3) * r,
-            (s1 * s2 * c3 - c1 * c2 * s3) * r,
-            (c1 * c2 * c3 + s1 * s2 * s3) * r,
-        ],
-        dtype=complex,
-    )
-
-
-def w_coefficients(angles) -> np.ndarray:
-    """Closed-form amplitudes of the boosted w state (direct expansion)."""
-    c1, s1, c2, s2, c3, s3 = _half_trig(angles)
-    r = 1.0 / math.sqrt(3.0)
-    return np.array(
-        [
-            -(s1 * c2 * c3 + c1 * s2 * c3 + c1 * c2 * s3) * r,
-            (c1 * c2 * c3 - s1 * c2 * s3 - c1 * s2 * s3) * r,
-            (c1 * c2 * c3 - s1 * s2 * c3 - c1 * s2 * s3) * r,
-            (c1 * c2 * s3 + c1 * s2 * c3 - s1 * s2 * s3) * r,
-            (c1 * c2 * c3 - s1 * s2 * c3 - s1 * c2 * s3) * r,
-            (c1 * c2 * s3 + s1 * c2 * c3 - s1 * s2 * s3) * r,
-            (c1 * s2 * c3 + s1 * c2 * c3 - s1 * s2 * s3) * r,
-            (c1 * s2 * s3 + s1 * c2 * s3 + s1 * s2 * c3) * r,
-        ],
-        dtype=complex,
     )
 
 

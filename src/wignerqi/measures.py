@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import det2, kron, matrix_sqrt_psd, partial_trace
+from .qmath import matrix_sqrt_psd, partial_trace
 from .states import DensityOperator, PureState, reduced, to_density
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SPIN_FLIP = kron(_SIGMA_Y, _SIGMA_Y)
+_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
 class CapacityClampWarning(UserWarning):
@@ -88,18 +88,15 @@ def _clamp_capacity(raw: float) -> tuple[float, bool]:
     return min(max(raw, 0.0), 2.0), True
 
 
-def pair_capacity(rho_pair: DensityOperator, trace_out: int = 1) -> float:
+def pair_capacity(rho_pair: DensityOperator) -> float:
     """Dense-coding capacity 1 + S(rho_i) - S(rho_ij) of a two-qubit state.
 
-    ``trace_out`` selects which qubit of the pair is discarded to form the
-    sender marginal rho_i (default: the second). The result is clamped to
-    [0, 2]; clamping is reported via :class:`CapacityClampWarning`.
+    The sender marginal rho_i is the pair's first qubit. The result is
+    clamped to [0, 2]; clamping is reported via :class:`CapacityClampWarning`.
     """
     if rho_pair.qubit_count != 2:
         raise ValueError(f"pair_capacity expects 2 qubits, got {rho_pair.qubit_count}")
-    if trace_out not in (0, 1):
-        raise ValueError(f"trace_out must be 0 or 1, got {trace_out}")
-    marginal = reduced(rho_pair, (1 - trace_out,))
+    marginal = reduced(rho_pair, (0,))
     raw = 1.0 + von_neumann_entropy(marginal) - von_neumann_entropy(rho_pair)
     value, clamped = _clamp_capacity(raw)
     if clamped:
@@ -146,8 +143,8 @@ def one_tangle(psi: PureState, pivot: int = 0) -> float:
     if pivot not in (0, 1, 2):
         raise ValueError(f"pivot must be 0, 1 or 2, got {pivot}")
     rho = to_density(psi)
-    marginal = partial_trace(rho.matrix, 3, (pivot,))
-    det = det2(marginal).real
+    m = partial_trace(rho.matrix, 3, (pivot,))
+    det = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
     det = min(max(det, 0.0), 0.25)  # p(1-p) for a qubit marginal; clamp roundoff
     return 2.0 * math.sqrt(det)
 

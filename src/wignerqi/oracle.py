@@ -1,7 +1,8 @@
-"""Slow reference implementations used only by the test suite.
+"""Slow reference implementations that check the fast paths.
 
 Each routine recomputes a result from its bare definition with explicit
 index loops and scalar math, sharing no code with the fast paths it checks.
+The closed-form GHZ and W amplitude tables live here for the same reason.
 Performance is a non-goal.
 """
 
@@ -42,6 +43,55 @@ def oracle_transform(psi: PureState, angles) -> PureState:
             total += entry * amps[j]
         out[i] = total
     return PureState(out)
+
+
+def _half_trig(angles):
+    # c1, s1, c2, s2, c3, s3: the cos and sin entries of each qubit's rotation
+    o1, o2, o3 = (float(o) for o in angles)
+    return tuple(_rotation_entry(omega, row, 0) for omega in (o1, o2, o3) for row in (0, 1))
+
+
+def ghz_coefficients(angles) -> np.ndarray:
+    """Closed-form amplitudes of the boosted ghz_plus state.
+
+    Componentwise equal to ``product_transform(make_state("ghz_plus"), angles)``
+    of :mod:`wignerqi.lorentz`; an explicit trigonometric expansion so the two
+    routes check each other.
+    """
+    c1, s1, c2, s2, c3, s3 = _half_trig(angles)
+    r = 1.0 / math.sqrt(2.0)
+    return np.array(
+        [
+            (c1 * c2 * c3 - s1 * s2 * s3) * r,
+            (c1 * c2 * s3 + s1 * s2 * c3) * r,
+            (c1 * s2 * c3 + s1 * c2 * s3) * r,
+            (c1 * s2 * s3 - s1 * c2 * c3) * r,
+            (s1 * c2 * c3 + c1 * s2 * s3) * r,
+            (s1 * c2 * s3 - c1 * s2 * c3) * r,
+            (s1 * s2 * c3 - c1 * c2 * s3) * r,
+            (c1 * c2 * c3 + s1 * s2 * s3) * r,
+        ],
+        dtype=complex,
+    )
+
+
+def w_coefficients(angles) -> np.ndarray:
+    """Closed-form amplitudes of the boosted w state (direct expansion)."""
+    c1, s1, c2, s2, c3, s3 = _half_trig(angles)
+    r = 1.0 / math.sqrt(3.0)
+    return np.array(
+        [
+            -(s1 * c2 * c3 + c1 * s2 * c3 + c1 * c2 * s3) * r,
+            (c1 * c2 * c3 - s1 * c2 * s3 - c1 * s2 * s3) * r,
+            (c1 * c2 * c3 - s1 * s2 * c3 - c1 * s2 * s3) * r,
+            (c1 * c2 * s3 + c1 * s2 * c3 - s1 * s2 * s3) * r,
+            (c1 * c2 * c3 - s1 * s2 * c3 - s1 * c2 * s3) * r,
+            (c1 * c2 * s3 + s1 * c2 * c3 - s1 * s2 * s3) * r,
+            (c1 * s2 * c3 + s1 * c2 * c3 - s1 * s2 * s3) * r,
+            (c1 * s2 * s3 + s1 * c2 * s3 + s1 * s2 * c3) * r,
+        ],
+        dtype=complex,
+    )
 
 
 def _embed_bits(value: int, positions, qubit_count: int) -> int:

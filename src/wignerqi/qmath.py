@@ -21,16 +21,6 @@ class NumericValidationError(ValueError):
     """A matrix or state violates a numeric invariant beyond tolerance."""
 
 
-def kron(*factors) -> np.ndarray:
-    """Kronecker product of one or more matrices, folded left to right."""
-    if not factors:
-        raise ValueError("kron needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
-    for factor in factors[1:]:
-        out = np.kron(out, np.asarray(factor, dtype=complex))
-    return out
-
-
 def hermiticity_violation(matrix) -> float:
     """Max entrywise deviation between ``matrix`` and its conjugate transpose."""
     m = np.asarray(matrix)
@@ -107,11 +97,3 @@ def matrix_sqrt_psd(matrix) -> np.ndarray:
     root = (vectors * np.sqrt(values)) @ vectors.conj().T
     # symmetrize away roundoff so the result is Hermitian to machine precision
     return 0.5 * (root + root.conj().T)
-
-
-def det2(matrix) -> complex:
-    """Determinant of a 2x2 matrix."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"det2 expects a 2x2 matrix, got shape {m.shape}")
-    return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])

@@ -158,9 +158,7 @@ def _resolve_ties(ties) -> dict[str, str]:
     """Map each tied axis to the free axis it ends up copying."""
     tie_map: dict[str, str] = {}
     for tie in ties:
-        follower, leader = parse_tie(tie) if isinstance(tie, str) else tie
-        if follower not in AXES or leader not in AXES or follower == leader:
-            raise ValueError(f"invalid tie {(follower, leader)!r}")
+        follower, leader = parse_tie(tie if isinstance(tie, str) else "=".join(tie))
         if follower in tie_map:
             raise ValueError(f"axis {follower!r} is tied twice")
         tie_map[follower] = leader
@@ -193,10 +191,10 @@ class _Plan(NamedTuple):
 def _plan(state, measures, mode, alpha, omegas, ties, convention) -> _Plan:
     if state not in STATE_TAGS:
         raise ValueError(f"unknown state {state!r}; expected one of {STATE_TAGS}")
-    if mode == "momentum_traced":
-        mode = "traced"
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if mode == "pure" and alpha != 0.0:
+        raise ValueError(f"alpha {alpha!r} has no effect in pure mode; use the traced mode or alpha 0")
     measures = tuple(measures)
     if not measures:
         raise ValueError("at least one measure is required")
@@ -278,17 +276,6 @@ def _chunks(plan: _Plan):
         yield indices, angles, values
 
 
-def _records(plan: _Plan, suffix: str = "") -> list[MeasureRecord]:
-    records = []
-    for _, angles, values in _chunks(plan):
-        columns = [values[m] for m in plan.measures]
-        for (o1, o2, o3), row in zip(angles.tolist(), zip(*columns)):
-            records.extend(
-                MeasureRecord(plan.state, plan.alpha, o1, o2, o3, m + suffix, v) for m, v in zip(plan.measures, row)
-            )
-    return records
-
-
 def run_sweep(
     state: str,
     measures,
@@ -307,12 +294,21 @@ def run_sweep(
     :class:`SweepGrid`; axes named as tie followers take their leader's
     current value instead. Free axes iterate row-major with omega1 outermost.
     In ``traced`` mode the state is sent through the momentum-superposed
-    channel at weight ``alpha`` before measuring; ``three_tangle`` is only
-    defined for the pure mode. Each measure may be named once, and sweeps of
+    channel at weight ``alpha`` before measuring; the pure mode refuses a
+    nonzero ``alpha``, and ``three_tangle`` is only defined for the pure
+    mode. Each measure may be named once, and sweeps of
     more than ``MAX_SWEEP_ROWS`` rows (grid points x measures) are refused
     with ``ValueError`` before anything is allocated.
     """
-    return _records(_plan(state, measures, mode, alpha, (omega1, omega2, omega3), ties, convention))
+    plan = _plan(state, measures, mode, alpha, (omega1, omega2, omega3), ties, convention)
+    records = []
+    for _, angles, values in _chunks(plan):
+        columns = [values[m] for m in plan.measures]
+        for (o1, o2, o3), row in zip(angles.tolist(), zip(*columns)):
+            records.extend(
+                MeasureRecord(plan.state, plan.alpha, o1, o2, o3, m, v) for m, v in zip(plan.measures, row)
+            )
+    return records
 
 
 CSV_HEADER = "state,alpha,omega1,omega2,omega3,measure,value"
@@ -427,8 +423,8 @@ def _figure_sweeps(name: str) -> list[tuple[str, _Plan]]:
     raise ValueError(f"unknown figure preset {name!r}; expected one of {FIGURE_NAMES}")
 
 
-def figure_records(name: str) -> dict[str, list[MeasureRecord]]:
-    """Records for one preset, grouped by (possibly suffixed) measure id.
+def run_figure(name: str, out_dir) -> list[tuple[Path, int]]:
+    """Run a preset and write one CSV per measure id into ``out_dir``.
 
     Surface presets (1a, 1b, 2a, 2b) sweep omega1 and omega3 over a 129x129
     grid with omega2 tied to omega1. Slice presets (1c, 2c) tie all three
@@ -438,20 +434,11 @@ def figure_records(name: str) -> dict[str, list[MeasureRecord]]:
     invariance) and the momentum-traced mode at alpha = pi/4 (suffix
     '.traced'; angle-dependent). The traced runs of 4a/4b report pairwise
     concurrences since the three-tangle is undefined for mixed states.
-    """
-    groups: dict[str, list[MeasureRecord]] = {}
-    for suffix, plan in _figure_sweeps(name):
-        for record in _records(plan, suffix):
-            groups.setdefault(record.measure, []).append(record)
-    return groups
-
-
-def run_figure(name: str, out_dir) -> list[tuple[Path, int]]:
-    """Run a preset and write one CSV per measure id into ``out_dir``.
 
     Rows are streamed to disk chunk by chunk, with the same bytes that
-    ``write_csv(figure_records(name)[...])`` would produce. The files appear
-    together once the whole preset has been computed; an error leaves none.
+    ``write_csv`` gives the records of each sweep with its suffixed measure
+    ids. The files appear together once the whole preset has been computed;
+    an error leaves none.
     """
     sweeps = _figure_sweeps(name)
     out_path = Path(out_dir)

@@ -14,7 +14,6 @@ from wignerqi.lorentz import (
     MomentumConfig,
     WignerAngles,
     audit_w_coefficient_table,
-    ghz_coefficients,
     momentum_traced_channel,
     product_transform,
 )
@@ -25,7 +24,7 @@ from wignerqi.measures import (
     three_tangle,
     von_neumann_entropy,
 )
-from wignerqi.oracle import haar_random_state, oracle_three_tangle, oracle_transform
+from wignerqi.oracle import ghz_coefficients, haar_random_state, oracle_three_tangle, oracle_transform
 from wignerqi.states import PureState, make_state, reduced, to_density
 
 TWO_PI = 2 * math.pi

@@ -60,6 +60,8 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(base + ["--measure", "entropy_a", "--tie", "omega2-omega1"]) == 2
     assert run(base + ["--measure", "entropy_a", "--tie", "omega2=omega1", "--omega2", "1"]) == 2
     assert run(base + ["--measure", "three_tangle", "--mode", "traced"]) == 2
+    assert run(base + ["--measure", "fidelity_w", "--alpha", "1e400", "--omega1", "0"]) == 2  # alpha is traced-only
+    assert not os.path.exists(out)
     # argparse-level failures (unknown flag, bad choice) also exit 2
     assert run(["sweep", "--state", "nope", "--measure", "entropy_a", "--out", out]) == 2
     assert run(["figure", "7q", "--out-dir", out]) == 2

@@ -9,15 +9,14 @@ from wignerqi.lorentz import (
     MomentumConfig,
     WignerAngles,
     audit_w_coefficient_table,
-    ghz_coefficients,
     momentum_traced_channel,
     product_transform,
     product_transform_batch,
-    w_coefficients,
     w_variant_coefficients,
     wigner_unitaries,
     wigner_unitary,
 )
+from wignerqi.oracle import ghz_coefficients, w_coefficients
 from wignerqi.qmath import partial_trace
 from wignerqi.states import STATE_TAGS, PureState, make_state, to_density, validate_density
 

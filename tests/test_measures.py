@@ -19,7 +19,6 @@ from wignerqi.measures import (
     von_neumann_entropy,
 )
 from wignerqi.oracle import haar_random_state, oracle_concurrence_pure, oracle_three_tangle
-from wignerqi.qmath import kron
 from wignerqi.states import DensityOperator, PureState, make_state, reduced, to_density
 
 SQ2 = 1 / np.sqrt(2)
@@ -115,7 +114,7 @@ class TestEntropy:
         for _ in range(10):
             rho = to_density(haar_random_state(2, rng))
             mixed = DensityOperator(0.6 * rho.matrix + 0.4 * np.eye(4) / 4)
-            u = kron(*(wigner_unitary(o) for o in rng.uniform(0, 2 * np.pi, 2)))
+            u = np.kron(*(wigner_unitary(o) for o in rng.uniform(0, 2 * np.pi, 2)))
             conjugated = DensityOperator(u @ mixed.matrix @ u.conj().T)
             assert von_neumann_entropy(conjugated) == pytest.approx(von_neumann_entropy(mixed), abs=1e-9)
 
@@ -168,13 +167,11 @@ class TestCapacity:
             pair_capacity(to_density(bell_pair()))  # no warning at the exact ceiling
 
     def test_trace_out_selects_the_sender_marginal(self):
-        # |0><0| x I/2: keeping qubit 0 gives a pure marginal (capacity 0),
-        # keeping qubit 1 a maximally mixed one (capacity 1).
+        # |0><0| x I/2: the second qubit is traced out, so the sender marginal
+        # is the pure first qubit and the capacity is 0 (the maximally mixed
+        # second qubit would give 1).
         rho = DensityOperator(np.diag([0.5, 0.5, 0.0, 0.0]))
-        assert pair_capacity(rho, trace_out=1) == pytest.approx(0.0, abs=1e-12)
-        assert pair_capacity(rho, trace_out=0) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            pair_capacity(rho, trace_out=2)
+        assert pair_capacity(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_wrong_sizes_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from wignerqi.oracle import (
     oracle_three_tangle,
     oracle_transform,
 )
-from wignerqi.qmath import kron, partial_trace
+from wignerqi.qmath import partial_trace
 from wignerqi.states import DensityOperator, PureState, make_state, to_density
 
 
@@ -65,7 +65,7 @@ class TestOraclePartialTrace:
     def test_product_state_factorizes(self, rng):
         a = haar_random_state(1, rng).amplitudes
         b = haar_random_state(1, rng).amplitudes
-        psi = PureState(kron(a.reshape(2, 1), b.reshape(2, 1)).reshape(-1))
+        psi = PureState(np.kron(a, b))
         rho = to_density(psi)
         np.testing.assert_allclose(
             oracle_partial_trace(rho, (0,)).matrix, np.outer(a, a.conj()), atol=1e-12
@@ -102,7 +102,7 @@ class TestOracleThreeTangle:
     def test_product_states_vanish(self, rng):
         for _ in range(50):
             a, b, c = (haar_random_state(1, rng).amplitudes for _ in range(3))
-            amps = kron(a.reshape(2, 1), b.reshape(2, 1), c.reshape(2, 1)).reshape(-1)
+            amps = np.kron(np.kron(a, b), c)
             psi = PureState(amps / np.linalg.norm(amps))
             assert oracle_three_tangle(psi) < 1e-10
 

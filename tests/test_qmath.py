@@ -3,9 +3,7 @@ import pytest
 
 from wignerqi.qmath import (
     NumericValidationError,
-    det2,
     eig_hermitian,
-    kron,
     matrix_sqrt_psd,
     partial_trace,
 )
@@ -17,41 +15,6 @@ I2 = np.eye(2)
 def random_hermitian(rng, dim):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (m + m.conj().T)
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_allclose(kron(I2, I2), np.eye(4), atol=1e-15)
-
-    def test_diagonal_structure(self):
-        np.testing.assert_allclose(kron(np.diag([1.0, 2.0]), I2), np.diag([1.0, 1.0, 2.0, 2.0]), atol=1e-15)
-
-    def test_half_turn_pair_flips_00_to_11(self):
-        # D(pi) = [[0,-1],[1,0]]; (D x D)|00> = |11> with amplitude (+1)(+1).
-        # Hand oracle: the full 4x4 product is
-        #   [[0,0,0,1],[0,0,-1,0],[0,-1,0,0],[1,0,0,0]].
-        d = np.array([[0.0, -1.0], [1.0, 0.0]])
-        expected = np.array(
-            [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float
-        )
-        np.testing.assert_allclose(kron(d, d), expected, atol=1e-15)
-        np.testing.assert_allclose(kron(d, d) @ np.array([1, 0, 0, 0]), [0, 0, 0, 1], atol=1e-15)
-
-    def test_associative_and_bilinear(self, rng):
-        for _ in range(20):
-            a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3))
-            np.testing.assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
-            np.testing.assert_allclose(kron(a, b + c), kron(a, b) + kron(a, c), atol=1e-12)
-            np.testing.assert_allclose(kron(2.5 * a, b), 2.5 * kron(a, b), atol=1e-12)
-
-    def test_mixed_product_rule(self, rng):
-        for _ in range(20):
-            a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4))
-            np.testing.assert_allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-12)
-
-    def test_needs_a_factor(self):
-        with pytest.raises(ValueError):
-            kron()
 
 
 class TestPartialTrace:
@@ -130,7 +93,8 @@ class TestEigHermitian:
     def test_spectrum_invariant_under_rotation_conjugation(self, rng):
         for _ in range(10):
             m = random_hermitian(rng, 8)
-            u = kron(*(wigner_unitary(o) for o in rng.uniform(0, 2 * np.pi, 3)))
+            d1, d2, d3 = (wigner_unitary(o) for o in rng.uniform(0, 2 * np.pi, 3))
+            u = np.kron(np.kron(d1, d2), d3)
             base, _ = eig_hermitian(m)
             conj, _ = eig_hermitian(u @ m @ u.conj().T)
             np.testing.assert_allclose(base, conj, atol=1e-9)
@@ -159,13 +123,3 @@ class TestMatrixSqrtPsd:
         with pytest.raises(NumericValidationError):
             matrix_sqrt_psd(np.diag([1.0, -0.5]))
 
-
-class TestDet2:
-    def test_examples(self):
-        assert det2(I2) == pytest.approx(1.0)
-        assert det2(np.diag([0.5, 0.5])) == pytest.approx(0.25)
-        assert det2(np.diag([2 / 3, 1 / 3])) == pytest.approx(2 / 9)
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            det2(np.eye(3))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -17,7 +18,6 @@ from wignerqi.sweep import (
     MAX_SWEEP_ROWS,
     MeasureRecord,
     SweepGrid,
-    figure_records,
     parse_angle,
     parse_axis,
     parse_tie,
@@ -225,6 +225,8 @@ class TestRunSweep:
             run_sweep("w", ["entropy_a"], ties=("omega2=omega1", "omega1=omega2"))
         with pytest.raises(ValueError, match="at least one measure"):
             run_sweep("w", [])
+        with pytest.raises(ValueError, match="no effect in pure mode"):
+            run_sweep("w", ["fidelity_w"], alpha=0.4)
 
     def test_rejects_duplicate_measures(self):
         with pytest.raises(ValueError, match="duplicate measure"):
@@ -272,11 +274,6 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "product_transform_batch", lambda *args: transform(*args) * (1.0 + 1e-9))
         with pytest.raises(NumericValidationError, match="norm"):
             run_sweep("w", ["fidelity_w"], omega1=SweepGrid(0.0, TWO_PI, 9))
-
-    def test_momentum_traced_alias(self):
-        a = run_sweep("w", ["entropy_a"], mode="traced", alpha=0.4, omega1=0.9)
-        b = run_sweep("w", ["entropy_a"], mode="momentum_traced", alpha=0.4, omega1=0.9)
-        assert a == b
 
 
 class TestWriteCsv:
@@ -330,37 +327,46 @@ class TestWriteCsv:
         assert row == "w,0,3.14159265359,0,0,entropy_a,0.333333333333"
 
 
-class TestFigurePresets:
-    def test_slice_preset_groups(self):
-        groups = figure_records("1c")
-        assert sorted(groups) == ["fidelity_gminus", "fidelity_gplus"]
-        assert all(len(records) == 257 for records in groups.values())
+def figure_columns(name, out_dir):
+    """The value column of each CSV that run_figure writes, keyed by measure id."""
+    columns = {}
+    for path, count in run_figure(name, out_dir):
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == count
+        (measure,) = {row[5] for row in rows}
+        columns[measure] = np.array([float(row[6]) for row in rows])
+    return columns
 
-    def test_family_preset_groups(self):
-        groups = figure_records("4a")
-        assert sorted(groups) == [
+
+class TestFigurePresets:
+    def test_slice_preset_groups(self, tmp_path):
+        columns = figure_columns("1c", tmp_path)
+        assert sorted(columns) == ["fidelity_gminus", "fidelity_gplus"]
+        assert all(column.size == 257 for column in columns.values())
+
+    def test_family_preset_groups(self, tmp_path):
+        columns = figure_columns("4a", tmp_path)
+        assert sorted(columns) == [
             "concurrence_ab.traced",
             "concurrence_ac.traced",
             "concurrence_bc.traced",
             "three_tangle.pure",
         ]
-        assert len(groups["three_tangle.pure"]) == 4 * 257
-        pure = np.array([r.value for r in groups["three_tangle.pure"]])
-        np.testing.assert_allclose(pure, 1.0, atol=1e-9)  # constant by local-unitary invariance
+        assert columns["three_tangle.pure"].size == 4 * 257
+        # constant by local-unitary invariance
+        np.testing.assert_allclose(columns["three_tangle.pure"], 1.0, atol=1e-9)
         # ghz pair reductions are separable and the traced mixture keeps them so
-        traced_ghz = np.array([r.value for r in groups["concurrence_ab.traced"]])
-        np.testing.assert_allclose(traced_ghz, 0.0, atol=1e-9)
+        np.testing.assert_allclose(columns["concurrence_ab.traced"], 0.0, atol=1e-9)
 
-    def test_family_preset_traced_decay_for_w(self):
-        groups = figure_records("4b")
-        pure = np.array([r.value for r in groups["three_tangle.pure"]])
-        np.testing.assert_allclose(pure, 0.0, atol=1e-8)
-        traced = np.array([r.value for r in groups["concurrence_ab.traced"]])
+    def test_family_preset_traced_decay_for_w(self, tmp_path):
+        columns = figure_columns("4b", tmp_path)
+        np.testing.assert_allclose(columns["three_tangle.pure"], 0.0, atol=1e-8)
+        traced = columns["concurrence_ab.traced"]
         assert traced.max() > 0.6 and traced.min() < 0.4  # angle-dependent decay
 
-    def test_unknown_preset(self):
+    def test_unknown_preset(self, tmp_path):
         with pytest.raises(ValueError, match="unknown figure preset"):
-            figure_records("9z")
+            run_figure("9z", tmp_path)
 
 
 class TestStreamedFigures:
@@ -379,7 +385,19 @@ class TestStreamedFigures:
 
     def test_streamed_family_equals_grouped_records(self, tmp_path):
         written = run_figure("4a", tmp_path)
-        groups = figure_records("4a")
+        # The list route: one run_sweep per omega3 and mode, measure ids
+        # suffixed with the mode and grouped in order of first appearance.
+        groups = {}
+        sweeps = (
+            (".pure", dict(mode="pure"), ["three_tangle"]),
+            (".traced", dict(mode="traced", alpha=math.pi / 4), ["concurrence_ab", "concurrence_ac", "concurrence_bc"]),
+        )
+        for omega3 in (0.0, math.pi / 3, math.pi / 4, math.pi / 6):
+            for suffix, mode, measures in sweeps:
+                axes = dict(omega1=SweepGrid(0.0, TWO_PI, 257), omega3=omega3, ties=("omega2=omega1",))
+                for r in run_sweep("ghz_plus", measures, **mode, **axes):
+                    measure = r.measure + suffix
+                    groups.setdefault(measure, []).append(dataclasses.replace(r, measure=measure))
         assert [path.name for path, _ in written] == [
             f"fig4a_{measure.replace('.', '_')}.csv" for measure in groups
         ]
