@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import DensityOperator, PureState, make_state, to_density
+from .states import DensityOperator, PureState, check_densities, check_unit_norms, make_state, projectors
 
 #: Branch conventions for the momentum-superposed channel: ``opposite`` flips
 #: the sign of every Wigner angle on the reversed-momentum branch, ``same``
@@ -180,6 +180,31 @@ def audit_w_coefficient_table(angles, atol: float = 1e-12) -> WTableReport:
     return WTableReport(angles, mism, flipped, float(dev.max()))
 
 
+def momentum_traced_channel_batch(amplitudes, rotations, reversed_rotations, config: MomentumConfig) -> np.ndarray:
+    """Stack of :func:`momentum_traced_channel` outputs, shape (n, 8, 8).
+
+    ``rotations`` are the forward branch's three (n, 2, 2) per-qubit rotation
+    stacks (see :func:`wigner_unitaries`) and ``reversed_rotations`` the same
+    at the negated angles, which only the ``opposite`` convention reads. Every
+    branch norm and branch projector is checked; the mixed output is not, so
+    callers check it (as :class:`~wignerqi.states.DensityOperator` does).
+    """
+    forward = product_transform_batch(amplitudes, *rotations)
+    check_unit_norms(forward)
+    forward_projectors = projectors(forward)
+    check_densities(forward_projectors)
+    if config.branch_sign_convention == OPPOSITE:
+        reversed_branch = product_transform_batch(amplitudes, *reversed_rotations)
+        check_unit_norms(reversed_branch)
+        reversed_projectors = projectors(reversed_branch)
+        check_densities(reversed_projectors)
+    else:
+        reversed_projectors = forward_projectors
+    w_forward = math.cos(config.alpha) ** 2
+    w_reversed = math.sin(config.alpha) ** 2
+    return w_forward * forward_projectors + w_reversed * reversed_projectors
+
+
 def momentum_traced_channel(psi: PureState, angles, config: MomentumConfig) -> DensityOperator:
     """Spin state left after boosting a two-branch momentum superposition.
 
@@ -188,17 +213,12 @@ def momentum_traced_channel(psi: PureState, angles, config: MomentumConfig) -> D
     their negatives depending on ``config.branch_sign_convention``. Reading
     out the spin part alone mixes the two branch projectors, so for the
     ``opposite`` convention and alpha not a multiple of pi/2 the output is
-    generally mixed.
+    generally mixed. The one-point case of :func:`momentum_traced_channel_batch`.
     """
+    if psi.qubit_count != 3:
+        raise ValueError(f"momentum_traced_channel acts on 3 qubits, got {psi.qubit_count}")
     angles = _as_angles(angles)
-    forward = product_transform(psi, angles)
-    if config.branch_sign_convention == OPPOSITE:
-        reversed_branch = product_transform(
-            psi, WignerAngles(-angles.omega1, -angles.omega2, -angles.omega3)
-        )
-    else:
-        reversed_branch = forward
-    w_forward = math.cos(config.alpha) ** 2
-    w_reversed = math.sin(config.alpha) ** 2
-    rho = w_forward * to_density(forward).matrix + w_reversed * to_density(reversed_branch).matrix
-    return DensityOperator(rho)
+    rotations = [wigner_unitary(omega)[None] for omega in angles]
+    # a generator: the same convention never builds the reversed rotations
+    reversed_rotations = (wigner_unitary(-omega)[None] for omega in angles)
+    return DensityOperator(momentum_traced_channel_batch(psi.amplitudes, rotations, reversed_rotations, config)[0])

@@ -6,21 +6,26 @@ for a maximally entangled pair. The three-tangle is assembled as
 C_1(23)**2 - C_12**2 - C_13**2 from the one-tangle 2*sqrt(det rho_1) and the
 Wootters concurrences of the two-qubit reductions; it is defined for pure
 three-qubit states only.
+
+Each measure has one implementation, a ``*_batch`` kernel over a stack of
+matrices (or amplitude vectors) along leading axes; the public function of
+the same name calls it on its single matrix, a stack with no leading axis.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qmath import matrix_sqrt_psd, partial_trace
-from .states import DensityOperator, PureState, reduced, to_density
+from .states import DensityOperator, PureState, reduce_densities, to_density
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
+# Relative zero floor of the concurrence spectrum (see concurrence_batch).
+_SPECTRUM_FLOOR = 128.0 * np.finfo(float).eps
 
 
 class CapacityClampWarning(UserWarning):
@@ -63,29 +68,46 @@ def fidelity_pure(a: PureState, b: PureState) -> float:
     return float(fidelity_pure_batch(a.amplitudes[None], b.amplitudes)[0])
 
 
+def fidelity_vs_target_batch(matrices, target) -> np.ndarray:
+    """Fidelities <target|rho_i|target> of a (..., d, d) stack, clamped to [0, 1]."""
+    return np.minimum(np.maximum(np.vecdot(target, matrices @ target).real, 0.0), 1.0)
+
+
 def fidelity_vs_target(rho: DensityOperator, target: PureState) -> float:
     """Fidelity <target|rho|target> of a (possibly mixed) state to a pure target."""
     if rho.qubit_count != target.qubit_count:
         raise ValueError(f"qubit counts differ: {rho.qubit_count} vs {target.qubit_count}")
-    t = target.amplitudes
-    value = np.vdot(t, rho.matrix @ t).real
-    return float(min(max(value, 0.0), 1.0))
+    return float(fidelity_vs_target_batch(rho.matrix, target.amplitudes))
+
+
+def von_neumann_entropy_batch(matrices) -> np.ndarray:
+    """Entropies -sum(p * log2(p)) of each spectrum of a (..., d, d) stack, with 0*log0 = 0."""
+    p = np.linalg.eigvalsh(matrices)
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    return -(p * logs).sum(axis=-1)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """Entropy -sum(p * log2(p)) of the spectrum, with 0*log0 = 0."""
-    eigenvalues = np.linalg.eigvalsh(rho.matrix)
-    p = eigenvalues[eigenvalues > 0.0]
-    if p.size == 0:
-        return 0.0
-    return float(-np.sum(p * np.log2(p)))
+    return float(von_neumann_entropy_batch(rho.matrix))
 
 
-def _clamp_capacity(raw: float) -> tuple[float, bool]:
+def clamp_capacity_batch(raw) -> np.ndarray:
+    """Raw pair capacities clamped to [0, 2], one ``CapacityClampWarning`` per clamped value."""
     # Subadditivity keeps the exact value in [0, 2]; only roundoff can leave it.
-    if 0.0 <= raw <= 2.0:
-        return raw, False
-    return min(max(raw, 0.0), 2.0), True
+    raw = np.asarray(raw, dtype=float)
+    inside = (raw >= 0.0) & (raw <= 2.0)
+    if inside.all():
+        return raw
+    for value in raw[~inside].tolist():
+        warnings.warn(f"pair capacity {value!r} outside [0, 2], clamped", CapacityClampWarning)
+    return np.where(inside, raw, np.clip(raw, 0.0, 2.0))
+
+
+def pair_capacity_batch(pairs) -> np.ndarray:
+    """Capacities 1 + S(rho_i) - S(rho_ij) of a (..., 4, 4) stack of validated pair states."""
+    marginals = reduce_densities(pairs, (0,))
+    return clamp_capacity_batch(1.0 + von_neumann_entropy_batch(marginals) - von_neumann_entropy_batch(pairs))
 
 
 def pair_capacity(rho_pair: DensityOperator) -> float:
@@ -96,57 +118,86 @@ def pair_capacity(rho_pair: DensityOperator) -> float:
     """
     if rho_pair.qubit_count != 2:
         raise ValueError(f"pair_capacity expects 2 qubits, got {rho_pair.qubit_count}")
-    marginal = reduced(rho_pair, (0,))
-    raw = 1.0 + von_neumann_entropy(marginal) - von_neumann_entropy(rho_pair)
-    value, clamped = _clamp_capacity(raw)
-    if clamped:
-        warnings.warn(f"pair capacity {raw!r} outside [0, 2], clamped", CapacityClampWarning)
-    return value
+    return float(pair_capacity_batch(rho_pair.matrix))
+
+
+def average_capacity_batch(matrices):
+    """Pair capacities ab, ac, bc and their mean for a (..., 8, 8) stack of validated states.
+
+    Returns four arrays with the stack's leading shape.
+    """
+    ab, ac, bc = (pair_capacity_batch(reduce_densities(matrices, pair)) for pair in ((0, 1), (0, 2), (1, 2)))
+    return ab, ac, bc, (ab + ac + bc) / 3.0
 
 
 def average_capacity(rho_abc: DensityOperator) -> CapacityBreakdown:
     """Mean of the three pair capacities of a three-qubit state."""
     if rho_abc.qubit_count != 3:
         raise ValueError(f"average_capacity expects 3 qubits, got {rho_abc.qubit_count}")
-    ab = pair_capacity(reduced(rho_abc, (0, 1)))
-    ac = pair_capacity(reduced(rho_abc, (0, 2)))
-    bc = pair_capacity(reduced(rho_abc, (1, 2)))
-    return CapacityBreakdown(ab, ac, bc, (ab + ac + bc) / 3.0)
+    return CapacityBreakdown(*map(float, average_capacity_batch(rho_abc.matrix)))
 
 
-def concurrence(rho: DensityOperator) -> float:
-    """Wootters concurrence of a two-qubit state.
+def concurrence_batch(pairs) -> np.ndarray:
+    """Wootters concurrences of a (..., 4, 4) stack of validated two-qubit states.
 
     Uses the Hermitian route: the lambda_k are the square roots of the
     eigenvalues of sqrt(rho) @ rho_tilde @ sqrt(rho), which coincide with
     those of rho @ rho_tilde, where rho_tilde is the spin-flipped state
     (sigma_y x sigma_y) rho* (sigma_y x sigma_y).
     """
-    if rho.qubit_count != 2:
-        raise ValueError(f"concurrence expects 2 qubits, got {rho.qubit_count}")
-    m = rho.matrix
-    rho_tilde = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
-    root = matrix_sqrt_psd(m)
+    rho_tilde = _SPIN_FLIP @ pairs.conj() @ _SPIN_FLIP
+    root = matrix_sqrt_psd(pairs)
     inner = root @ rho_tilde @ root
-    mu = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    mu = np.linalg.eigvalsh(0.5 * (inner + inner.conj().mT))
     # Exact rank deficiency shows up as eigenvalues of size ~eps*mu_max; the
     # relative floor keeps sqrt from amplifying that roundoff to ~1e-8.
-    floor = max(float(mu.max()), 0.0) * 128.0 * np.finfo(float).eps
+    # (eigvalsh sorts ascending, so the last column is mu_max.)
+    floor = np.maximum(mu[..., -1:], 0.0) * _SPECTRUM_FLOOR
     lam = np.sqrt(np.where(mu > floor, mu, 0.0))
-    return float(max(0.0, 2.0 * lam.max() - lam.sum()))
+    return np.maximum(0.0, 2.0 * lam.max(axis=-1) - lam.sum(axis=-1))
+
+
+def concurrence(rho: DensityOperator) -> float:
+    """Wootters concurrence of a two-qubit state (see :func:`concurrence_batch`)."""
+    if rho.qubit_count != 2:
+        raise ValueError(f"concurrence expects 2 qubits, got {rho.qubit_count}")
+    return float(concurrence_batch(rho.matrix))
+
+
+def one_tangle_batch(projectors, pivot: int = 0) -> np.ndarray:
+    """One-tangles 2*sqrt(det rho_pivot) of a (..., 8, 8) stack of validated pure-state projectors."""
+    if pivot not in (0, 1, 2):
+        raise ValueError(f"pivot must be 0, 1 or 2, got {pivot}")
+    m = partial_trace(projectors, 3, (pivot,))
+    a, b, c, d = m[..., 0, 0], m[..., 1, 1], m[..., 0, 1], m[..., 1, 0]
+    # Re(a*b - c*d) in real arithmetic: numpy's complex array product may fuse
+    # multiply-adds, the real ufuncs round each product once
+    det = (a.real * b.real - a.imag * b.imag) - (c.real * d.real - c.imag * d.imag)
+    det = np.clip(det, 0.0, 0.25)  # p(1-p) for a qubit marginal; clamp roundoff
+    return 2.0 * np.sqrt(det)
 
 
 def one_tangle(psi: PureState, pivot: int = 0) -> float:
     """Entanglement 2*sqrt(det rho_pivot) between one qubit and the rest."""
     if psi.qubit_count != 3:
         raise ValueError(f"one_tangle expects 3 qubits, got {psi.qubit_count}")
-    if pivot not in (0, 1, 2):
-        raise ValueError(f"pivot must be 0, 1 or 2, got {pivot}")
-    rho = to_density(psi)
-    m = partial_trace(rho.matrix, 3, (pivot,))
-    det = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
-    det = min(max(det, 0.0), 0.25)  # p(1-p) for a qubit marginal; clamp roundoff
-    return 2.0 * math.sqrt(det)
+    return float(one_tangle_batch(to_density(psi).matrix, pivot))
+
+
+def three_tangle_batch(projectors, pivot: int = 0):
+    """Squared tangle components of a (..., 8, 8) stack of validated pure-state projectors.
+
+    Returns the arrays ``(one_tangle_sq, c12_sq, c13_sq, three_tangle)``,
+    each with the stack's leading shape; see :class:`TangleBreakdown`.
+    """
+    others = [q for q in (0, 1, 2) if q != pivot]
+    ot = one_tangle_batch(projectors, pivot)
+    c_first = concurrence_batch(reduce_densities(projectors, tuple(sorted((pivot, others[0])))))
+    c_second = concurrence_batch(reduce_densities(projectors, tuple(sorted((pivot, others[1])))))
+    one_sq = ot * ot
+    c12_sq = c_first * c_first
+    c13_sq = c_second * c_second
+    return one_sq, c12_sq, c13_sq, one_sq - c12_sq - c13_sq
 
 
 def three_tangle(psi: PureState, pivot: int = 0) -> TangleBreakdown:
@@ -158,12 +209,4 @@ def three_tangle(psi: PureState, pivot: int = 0) -> TangleBreakdown:
     """
     if psi.qubit_count != 3:
         raise ValueError(f"three_tangle expects 3 qubits, got {psi.qubit_count}")
-    others = [q for q in (0, 1, 2) if q != pivot]
-    rho = to_density(psi)
-    ot = one_tangle(psi, pivot)
-    c_first = concurrence(reduced(rho, tuple(sorted((pivot, others[0])))))
-    c_second = concurrence(reduced(rho, tuple(sorted((pivot, others[1])))))
-    one_sq = ot * ot
-    c12_sq = c_first * c_first
-    c13_sq = c_second * c_second
-    return TangleBreakdown(one_sq, c12_sq, c13_sq, one_sq - c12_sq - c13_sq)
+    return TangleBreakdown(*map(float, three_tangle_batch(to_density(psi).matrix, pivot)))

@@ -3,7 +3,9 @@
 All routines work on plain numpy arrays holding computational-basis data.
 Qubit 0 is the leftmost tensor factor, so basis index ``i`` spells the bit
 string of ``i`` most-significant bit first. Intended for dimensions up to
-2**12; everything is dense and eager.
+2**12; everything is dense and eager. Every routine also accepts a stack
+of matrices along leading axes and treats each matrix on its own; a single
+matrix is the stack with no leading axis.
 """
 
 from __future__ import annotations
@@ -21,10 +23,19 @@ class NumericValidationError(ValueError):
     """A matrix or state violates a numeric invariant beyond tolerance."""
 
 
-def hermiticity_violation(matrix) -> float:
-    """Max entrywise deviation between ``matrix`` and its conjugate transpose."""
+def hermiticity_violation(matrix):
+    """Max entrywise deviation between a matrix and its conjugate transpose.
+
+    Leading axes hold a stack of matrices; the result then has one value per
+    matrix.
+    """
     m = np.asarray(matrix)
-    return float(np.max(np.abs(m - m.conj().T)))
+    return np.abs(m - m.conj().mT).max(axis=(-2, -1))
+
+
+def _first(values, bad) -> float:
+    # The value of the first flagged matrix of a stack, in row-major order.
+    return float(np.asarray(values)[bad][0])
 
 
 def partial_trace(rho, qubit_count: int, keep) -> np.ndarray:
@@ -33,7 +44,8 @@ def partial_trace(rho, qubit_count: int, keep) -> np.ndarray:
     Parameters
     ----------
     rho : array_like
-        Square matrix of dimension ``2**qubit_count``.
+        Square matrix of dimension ``2**qubit_count``, or a stack of them
+        along leading axes.
     qubit_count : int
         Number of qubits the matrix acts on.
     keep : sequence of int
@@ -42,12 +54,13 @@ def partial_trace(rho, qubit_count: int, keep) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        Reduced matrix on the kept qubits; the trace is preserved.
+        Reduced matrix on the kept qubits, with the same leading axes; the
+        trace is preserved.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = 2 ** qubit_count
-    if rho.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix for {qubit_count} qubits, got {rho.shape}")
+    if rho.shape[-2:] != (dim, dim):
+        raise ValueError(f"expected {dim}x{dim} matrices for {qubit_count} qubits, got shape {rho.shape}")
     keep = tuple(int(q) for q in keep)
     if not keep:
         raise ValueError("keep must name at least one qubit")
@@ -56,14 +69,15 @@ def partial_trace(rho, qubit_count: int, keep) -> np.ndarray:
     if any(b <= a for a, b in zip(keep, keep[1:])):
         raise ValueError(f"keep indices must be strictly increasing, got {keep}")
 
-    work = rho.reshape((2,) * (2 * qubit_count))
+    lead = rho.shape[:-2]
+    work = rho.reshape(lead + (2,) * (2 * qubit_count))
     remaining = qubit_count
     # Tracing from the highest qubit down keeps lower row axes in place.
     for q in sorted(set(range(qubit_count)) - set(keep), reverse=True):
-        work = np.trace(work, axis1=q, axis2=q + remaining)
+        work = np.trace(work, axis1=len(lead) + q, axis2=len(lead) + q + remaining)
         remaining -= 1
     out_dim = 2 ** len(keep)
-    return work.reshape(out_dim, out_dim)
+    return work.reshape(lead + (out_dim, out_dim))
 
 
 def eig_hermitian(matrix, atol: float = HERMITIAN_ATOL):
@@ -71,16 +85,21 @@ def eig_hermitian(matrix, atol: float = HERMITIAN_ATOL):
 
     Returns ``(values, vectors)`` with real eigenvalues and the matching
     eigenvectors as columns, so ``matrix == vectors @ diag(values) @ vectors.conj().T``
-    up to roundoff. Rejects input whose asymmetry exceeds ``atol``.
+    up to roundoff. Leading axes hold a stack of matrices, decomposed one by
+    one. Rejects input whose asymmetry exceeds ``atol``, naming the first
+    offending matrix's asymmetry.
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     asym = hermiticity_violation(m)
-    if asym > atol:
-        raise NumericValidationError(f"matrix is not Hermitian: max asymmetry {asym:.3e} > {atol:.0e}")
+    bad = asym > atol
+    if bad.any():
+        raise NumericValidationError(
+            f"matrix is not Hermitian: max asymmetry {_first(asym, bad):.3e} > {atol:.0e}"
+        )
     values, vectors = np.linalg.eigh(m)
-    return values[::-1].copy(), vectors[:, ::-1].copy()
+    return values[..., ::-1].copy(), vectors[..., ::-1].copy()
 
 
 def matrix_sqrt_psd(matrix) -> np.ndarray:
@@ -88,12 +107,16 @@ def matrix_sqrt_psd(matrix) -> np.ndarray:
 
     Eigenvalues in ``(EIGENVALUE_FLOOR, 0)`` are treated as rounding noise and
     clamped to zero; anything below the floor raises ``NumericValidationError``.
+    Leading axes hold a stack of matrices, each given its own root.
     """
     values, vectors = eig_hermitian(matrix)
-    smallest = float(values.min())
-    if smallest < EIGENVALUE_FLOOR:
-        raise NumericValidationError(f"matrix is not PSD: eigenvalue {smallest:.3e} below {EIGENVALUE_FLOOR:.0e}")
+    smallest = values[..., -1]
+    bad = smallest < EIGENVALUE_FLOOR
+    if bad.any():
+        raise NumericValidationError(
+            f"matrix is not PSD: eigenvalue {_first(smallest, bad):.3e} below {EIGENVALUE_FLOOR:.0e}"
+        )
     values = np.clip(values, 0.0, None)
-    root = (vectors * np.sqrt(values)) @ vectors.conj().T
+    root = (vectors * np.sqrt(values)[..., None, :]) @ vectors.conj().mT
     # symmetrize away roundoff so the result is Hermitian to machine precision
-    return 0.5 * (root + root.conj().T)
+    return 0.5 * (root + root.conj().mT)

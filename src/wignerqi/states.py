@@ -73,9 +73,7 @@ class DensityOperator:
         n = m.shape[0]
         if n == 0 or n & (n - 1):
             raise ValueError(f"dimension {n} is not a power of two")
-        diag = validate_density(m)
-        if not diag.ok:
-            raise NumericValidationError(f"invalid density operator: {diag.describe()}")
+        check_densities(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -86,18 +84,23 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class DensityDiagnostics:
-    """Violation magnitudes reported by :func:`validate_density`."""
+    """Violation magnitudes reported by :func:`validate_density`.
 
-    hermiticity_violation: float
-    trace_deviation: float
-    min_eigenvalue: float
+    Each field holds one value per matrix of the validated stack (a scalar
+    for a single matrix).
+    """
+
+    hermiticity_violation: float | np.ndarray
+    trace_deviation: float | np.ndarray
+    min_eigenvalue: float | np.ndarray
 
     @property
-    def ok(self) -> bool:
+    def ok(self):
+        """Whether each matrix passes every check, with the fields' shape."""
         return (
-            self.hermiticity_violation <= HERMITIAN_ATOL
-            and abs(self.trace_deviation) <= TRACE_ATOL
-            and self.min_eigenvalue >= EIGENVALUE_FLOOR
+            (self.hermiticity_violation <= HERMITIAN_ATOL)
+            & (np.abs(self.trace_deviation) <= TRACE_ATOL)
+            & (self.min_eigenvalue >= EIGENVALUE_FLOOR)
         )
 
     def describe(self) -> str:
@@ -111,19 +114,36 @@ class DensityDiagnostics:
 def validate_density(matrix) -> DensityDiagnostics:
     """Measure how far ``matrix`` is from a valid density operator.
 
-    Purely diagnostic: accepts any square matrix and reports the worst
-    Hermiticity violation, the trace deviation from one, and the most
-    negative eigenvalue (of the Hermitian part, so the check is meaningful
-    even for slightly asymmetric input).
+    Purely diagnostic: accepts any square matrix, or a stack of them along
+    leading axes, and reports per matrix the worst Hermiticity violation,
+    the trace deviation from one, and the most negative eigenvalue (of the
+    Hermitian part, so the check is meaningful even for slightly asymmetric
+    input).
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     herm = hermiticity_violation(m)
-    trace_dev = float((np.trace(m) - 1.0).real)
-    hermitian_part = 0.5 * (m + m.conj().T)
-    min_eig = float(np.linalg.eigvalsh(hermitian_part).min())
+    trace_dev = (m.trace(axis1=-2, axis2=-1) - 1.0).real
+    hermitian_part = 0.5 * (m + m.conj().mT)
+    min_eig = np.linalg.eigvalsh(hermitian_part)[..., 0]  # eigvalsh sorts ascending
     return DensityDiagnostics(herm, trace_dev, min_eig)
+
+
+def check_densities(matrices) -> None:
+    """Raise unless every matrix of a stack is a valid density operator.
+
+    ``matrices`` is one square matrix or a stack of them along leading axes
+    (see :func:`validate_density`); the ``NumericValidationError`` gives the
+    diagnostics of the first failing matrix, in row-major order.
+    """
+    diag = validate_density(matrices)
+    ok = diag.ok
+    if not ok.all():
+        first = np.flatnonzero(~ok)[0]
+        worst = DensityDiagnostics(*(float(np.ravel(v)[first]) for v in vars(diag).values()))
+        where = f" (matrix {first} of the stack)" if ok.ndim else ""
+        raise NumericValidationError(f"invalid density operator{where}: {worst.describe()}")
 
 
 def make_state(tag: str) -> PureState:
@@ -149,10 +169,30 @@ def make_state(tag: str) -> PureState:
     return PureState(amps)
 
 
+def projectors(amplitudes) -> np.ndarray:
+    """Rank-one projectors |a><a| of amplitude vectors (the last axis).
+
+    A stack of n vectors gives an (n, d, d) stack. Not validated: callers
+    check the result (e.g. with :func:`check_densities`).
+    """
+    a = np.asarray(amplitudes)
+    return a[..., :, None] * a.conj()[..., None, :]
+
+
 def to_density(psi: PureState) -> DensityOperator:
     """Rank-one projector |psi><psi| of a pure state."""
-    a = psi.amplitudes
-    return DensityOperator(np.outer(a, a.conj()))
+    return DensityOperator(projectors(psi.amplitudes))
+
+
+def reduce_densities(matrices, keep) -> np.ndarray:
+    """Partial traces of a stack of density matrices down to the qubits in ``keep``.
+
+    Each reduction is checked with :func:`check_densities`, as
+    :func:`reduced` checks its one matrix.
+    """
+    out = partial_trace(matrices, np.shape(matrices)[-1].bit_length() - 1, keep)
+    check_densities(out)
+    return out
 
 
 def reduced(rho: DensityOperator, keep) -> DensityOperator:

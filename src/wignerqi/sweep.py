@@ -19,16 +19,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lorentz import MomentumConfig, WignerAngles, momentum_traced_channel, product_transform_batch, wigner_unitaries
+from .lorentz import MomentumConfig, momentum_traced_channel_batch, product_transform_batch, wigner_unitaries
 from .measures import (
-    average_capacity,
-    concurrence,
+    average_capacity_batch,
+    concurrence_batch,
     fidelity_pure_batch,
-    fidelity_vs_target,
-    three_tangle,
-    von_neumann_entropy,
+    fidelity_vs_target_batch,
+    three_tangle_batch,
+    von_neumann_entropy_batch,
 )
-from .states import STATE_TAGS, PureState, check_unit_norms, make_state, reduced, to_density
+from .states import STATE_TAGS, check_densities, check_unit_norms, make_state, projectors, reduce_densities
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,10 +103,16 @@ class SweepGrid:
     def __post_init__(self):
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError(f"grid endpoints must be finite, got {self.start!r}:{self.stop!r}")
-        if int(self.count) != self.count or self.count < 1:
+        try:
+            count = int(self.count)
+        except (TypeError, ValueError, OverflowError):
+            count = 0
+        if isinstance(self.count, (bool, np.bool_)) or count != self.count or count < 1:
             raise ValueError(f"grid count must be an integer >= 1, got {self.count!r}")
         if self.stop < self.start:
             raise ValueError(f"grid stop {self.stop!r} is below start {self.start!r}")
+        # an integral float such as 3.0 is stored as the int np.linspace needs
+        object.__setattr__(self, "count", count)
 
     def values(self) -> np.ndarray:
         if self.count == 1:
@@ -222,17 +228,15 @@ def _plan(state, measures, mode, alpha, omegas, ties, convention) -> _Plan:
     return _Plan(state, measures, mode, float(alpha), convention, shape, grids, sources)
 
 
-def _evaluate(measure: str, psi, rho, targets) -> float:
-    """One measure at one point through the scalar API."""
-    if measure in targets:
-        return fidelity_vs_target(rho, targets[measure])
+def _column(measure: str, rho) -> np.ndarray:
+    """A measure other than the fidelities, over a chunk's validated (n, 8, 8) density stack."""
     if measure == "avg_capacity":
-        return average_capacity(rho).average
+        return average_capacity_batch(rho)[3]
     if measure == "three_tangle":
-        return three_tangle(psi).three_tangle
+        return three_tangle_batch(rho)[3]
     if measure in _PAIRS:
-        return concurrence(reduced(rho, _PAIRS[measure]))
-    return von_neumann_entropy(reduced(rho, (0,)))  # entropy_a
+        return concurrence_batch(reduce_densities(rho, _PAIRS[measure]))
+    return von_neumann_entropy_batch(reduce_densities(rho, (0,)))  # entropy_a
 
 
 def _chunks(plan: _Plan):
@@ -241,39 +245,42 @@ def _chunks(plan: _Plan):
     Yields ``(indices, angles, values)`` per block: ``indices`` holds each
     point's grid index on every free axis, ``angles`` is the (n, 3) array of
     its angles, and ``values`` maps each measure to its n values as floats.
-    Pure-mode fidelities come from the batched amplitudes; every other
-    measure is a per-point call into the scalar API, and a density operator
-    is built only for the measures that read one.
+    Every measure is a kernel over the whole block. Pure-mode fidelities read
+    the (n, 8) amplitudes; every other measure reads an (n, 8, 8) density
+    stack, which is the block's traced-channel output or, in pure mode, the
+    projectors of its amplitudes (built only if some measure reads them).
+    Each matrix the scalar API would validate is validated here as a stack.
     """
     psi0 = make_state(plan.state)
-    targets = {m: make_state(_FIDELITY_TARGETS[m]) for m in plan.measures if m in _FIDELITY_TARGETS}
+    targets = {m: make_state(_FIDELITY_TARGETS[m]).amplitudes for m in plan.measures if m in _FIDELITY_TARGETS}
+    rotations = [wigner_unitaries(grid) for grid in plan.grids]
     if plan.mode == "pure":
-        rotations = [wigner_unitaries(grid) for grid in plan.grids]
-        needs_rho = any(m not in targets and m != "three_tangle" for m in plan.measures)
+        needs_rho = any(m not in targets for m in plan.measures)
     else:
         config = MomentumConfig(plan.alpha, plan.convention)
+        reversed_rotations = [wigner_unitaries(-grid) for grid in plan.grids]
     total = math.prod(plan.shape)
     for start in range(0, total, CHUNK_POINTS):
         indices = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, total)), plan.shape)
         angles = np.stack([plan.grids[s][indices[s]] for s in plan.sources], axis=1)
+        point_rotations = [rotations[s][indices[s]] for s in plan.sources]
         if plan.mode == "pure":
-            amps = product_transform_batch(psi0.amplitudes, *(rotations[s][indices[s]] for s in plan.sources))
+            amps = product_transform_batch(psi0.amplitudes, *point_rotations)
             check_unit_norms(amps)
-            values = {m: fidelity_pure_batch(amps, t.amplitudes).tolist() for m, t in targets.items()}
-            points = ((psi, to_density(psi) if needs_rho else None) for psi in map(PureState, amps))
+            values = {m: fidelity_pure_batch(amps, t) for m, t in targets.items()}
+            rho = None
+            if needs_rho:
+                rho = projectors(amps)
+                check_densities(rho)
         else:
-            values = {}
-            points = (
-                (None, momentum_traced_channel(psi0, WignerAngles(*point), config)) for point in angles.tolist()
-            )
-        pending = [m for m in plan.measures if m not in values]
-        if pending:
-            for measure in pending:
-                values[measure] = []
-            for psi, rho in points:
-                for measure in pending:
-                    values[measure].append(float(_evaluate(measure, psi, rho, targets)))
-        yield indices, angles, values
+            point_reversed = [reversed_rotations[s][indices[s]] for s in plan.sources]
+            rho = momentum_traced_channel_batch(psi0.amplitudes, point_rotations, point_reversed, config)
+            check_densities(rho)
+            values = {m: fidelity_vs_target_batch(rho, t) for m, t in targets.items()}
+        for measure in plan.measures:
+            if measure not in values:
+                values[measure] = _column(measure, rho)
+        yield indices, angles, {m: column.tolist() for m, column in values.items()}
 
 
 def run_sweep(

@@ -7,8 +7,8 @@ import pytest
 from wignerqi.lorentz import WignerAngles, product_transform, wigner_unitary
 from wignerqi.measures import (
     CapacityClampWarning,
-    _clamp_capacity,
     average_capacity,
+    clamp_capacity_batch,
     concurrence,
     fidelity_pure,
     fidelity_pure_batch,
@@ -157,14 +157,27 @@ class TestCapacity:
 
     def test_clamp_reports(self):
         # Exact values stay inside [0, 2]; the clamp is a roundoff guard, so
-        # exercise it directly.
-        assert _clamp_capacity(1.5) == (1.5, False)
-        assert _clamp_capacity(2.0) == (2.0, False)
-        assert _clamp_capacity(-1e-3) == (0.0, True)
-        assert _clamp_capacity(2.0 + 1e-3) == (2.0, True)
+        # exercise it directly, one value at a time: a clamped value warns.
+        for raw, value, clamped in ((1.5, 1.5, False), (2.0, 2.0, False), (-1e-3, 0.0, True), (2.0 + 1e-3, 2.0, True)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert clamp_capacity_batch(np.array([raw])).tolist() == [value]
+            assert len(caught) == int(clamped)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pair_capacity(to_density(bell_pair()))  # no warning at the exact ceiling
+
+    def test_array_clamp_warns_once_per_clamped_value(self):
+        raw = np.array([-1e-3, 1.5, 2.0 + 1e-3])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = clamp_capacity_batch(raw)
+        assert values.tolist() == [0.0, 1.5, 2.0]
+        assert [w.category for w in caught] == [CapacityClampWarning] * 2
+        assert [str(w.message) for w in caught] == [
+            f"pair capacity {-1e-3!r} outside [0, 2], clamped",
+            f"pair capacity {2.0 + 1e-3!r} outside [0, 2], clamped",
+        ]
 
     def test_trace_out_selects_the_sender_marginal(self):
         # |0><0| x I/2: the second qubit is traced out, so the sender marginal

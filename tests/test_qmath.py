@@ -65,6 +65,28 @@ class TestPartialTrace:
             partial_trace(rho, 3, keep)
 
 
+class TestStacks:
+    """Each routine treats a stack of matrices one matrix at a time."""
+
+    def test_stack_equals_per_matrix_calls(self, rng):
+        stack = np.array([random_hermitian(rng, 8) for _ in range(6)])
+        np.testing.assert_array_equal(partial_trace(stack, 3, (0, 2)), [partial_trace(m, 3, (0, 2)) for m in stack])
+        values, vectors = eig_hermitian(stack)
+        singles = [eig_hermitian(m) for m in stack]
+        np.testing.assert_array_equal(values, [v for v, _ in singles])
+        np.testing.assert_array_equal(vectors, [u for _, u in singles])
+        psd = stack @ stack.conj().mT
+        np.testing.assert_array_equal(matrix_sqrt_psd(psd), [matrix_sqrt_psd(m) for m in psd])
+
+    def test_first_failing_matrix_is_named(self):
+        stack = np.array([np.eye(2), np.diag([1.0, -0.5]), np.diag([1.0, -0.25])])
+        with pytest.raises(NumericValidationError, match="eigenvalue -5.000e-01"):
+            matrix_sqrt_psd(stack)
+        stack = np.array([np.eye(2), np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(NumericValidationError, match="asymmetry 1.000e\\+00"):
+            eig_hermitian(stack)
+
+
 class TestEigHermitian:
     def test_identity(self):
         values, _ = eig_hermitian(I2)

@@ -6,6 +6,7 @@ from wignerqi.states import (
     STATE_TAGS,
     DensityOperator,
     PureState,
+    check_densities,
     make_state,
     reduced,
     to_density,
@@ -79,6 +80,21 @@ def test_validate_density_pass_and_fail():
     bad = validate_density(np.diag([1.2, -0.2]))
     assert not bad.ok
     assert bad.min_eigenvalue == pytest.approx(-0.2)
+
+
+def test_validate_density_stack_reports_each_matrix():
+    stack = np.array([np.diag([0.25, 0.25, 0.25, 0.25])] * 5, dtype=complex)
+    stack[3] = np.diag([0.5, 0.2, 0.2, 0.2])  # trace 1.1
+    diag = validate_density(stack)
+    assert diag.ok.tolist() == [True, True, True, False, True]
+    assert diag.trace_deviation[3] == pytest.approx(0.1)
+    assert diag.min_eigenvalue.tolist() == pytest.approx([0.25, 0.25, 0.25, 0.2, 0.25])
+    check_densities(stack[:3])
+    with pytest.raises(NumericValidationError, match=r"matrix 3 of the stack\): .*trace deviation 1\.000e-01"):
+        check_densities(stack)
+    for bad in (np.ones((5, 4, 3)), np.ones(4)):
+        with pytest.raises(ValueError):
+            validate_density(bad)
 
 
 def test_density_operator_rejects_invalid():

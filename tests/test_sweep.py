@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
+import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +12,16 @@ from hypothesis import strategies as st
 
 from wignerqi import sweep
 from wignerqi.lorentz import MomentumConfig, momentum_traced_channel, product_transform
-from wignerqi.measures import average_capacity, fidelity_pure
+from wignerqi.measures import (
+    average_capacity,
+    concurrence,
+    fidelity_pure,
+    fidelity_vs_target,
+    three_tangle,
+    von_neumann_entropy,
+)
 from wignerqi.qmath import NumericValidationError
-from wignerqi.states import make_state, to_density
+from wignerqi.states import make_state, projectors, reduced, to_density
 from wignerqi.sweep import (
     AngleParseError,
     CSV_HEADER,
@@ -65,7 +75,17 @@ class TestGrid:
     def test_single_point(self):
         np.testing.assert_array_equal(SweepGrid(1.5, 1.5, 1).values(), [1.5])
 
-    @pytest.mark.parametrize("args", [(0.0, -1.0, 5), (0.0, 1.0, 0), (0.0, 1.0, 2.5), (math.nan, 1.0, 3)])
+    def test_integral_float_count_is_stored_as_int(self):
+        grid = SweepGrid(0.0, 1.0, 3.0)
+        assert type(grid.count) is int and grid == SweepGrid(0.0, 1.0, 3)
+        np.testing.assert_array_equal(grid.values(), [0.0, 0.5, 1.0])
+        records = run_sweep("w", ["fidelity_w"], omega1=SweepGrid(0, 1, 3.0))
+        assert [r.omega1 for r in records] == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "args",
+        [(0.0, -1.0, 5), (0.0, 1.0, 0), (0.0, 1.0, 2.5), (math.nan, 1.0, 3), (0.0, 1.0, True), (0.0, 1.0, math.inf)],
+    )
     def test_rejects_bad_specs(self, args):
         with pytest.raises(ValueError):
             SweepGrid(*args)
@@ -257,23 +277,98 @@ class TestRunSweep:
         assert records[-2].value == fidelity_pure(psi, make_state("ghz_minus"))
 
     def test_density_operator_only_for_measures_that_read_one(self, monkeypatch):
-        calls = []
+        # Pure mode builds the projector stack of a chunk only for measures
+        # that read it, and then once for all of them.
+        stacks = []
 
-        def counting(psi):
-            calls.append(psi)
-            return to_density(psi)
+        def counting(amplitudes):
+            stacks.append(len(amplitudes))
+            return projectors(amplitudes)
 
-        monkeypatch.setattr(sweep, "to_density", counting)
-        records = run_sweep("w", ["fidelity_w", "three_tangle"], omega1=SweepGrid(0.0, TWO_PI, 9))
-        assert len(records) == 18 and calls == []
-        run_sweep("w", ["fidelity_w", "entropy_a"], omega1=SweepGrid(0.0, TWO_PI, 9))
-        assert len(calls) == 9
+        monkeypatch.setattr(sweep, "projectors", counting)
+        records = run_sweep("w", ["fidelity_w", "fidelity_wprime"], omega1=SweepGrid(0.0, TWO_PI, 9))
+        assert len(records) == 18 and stacks == []
+        run_sweep("w", ["fidelity_w", "three_tangle", "entropy_a"], omega1=SweepGrid(0.0, TWO_PI, 9))
+        assert stacks == [9]
 
     def test_batched_norm_check(self, monkeypatch):
         transform = sweep.product_transform_batch
         monkeypatch.setattr(sweep, "product_transform_batch", lambda *args: transform(*args) * (1.0 + 1e-9))
         with pytest.raises(NumericValidationError, match="norm"):
             run_sweep("w", ["fidelity_w"], omega1=SweepGrid(0.0, TWO_PI, 9))
+
+    def test_batched_density_checks(self, monkeypatch):
+        # the traced mix and the pure-state projectors are validated as stacks
+        grid = SweepGrid(0.0, TWO_PI, 9)
+        channel = sweep.momentum_traced_channel_batch
+        monkeypatch.setattr(sweep, "momentum_traced_channel_batch", lambda *args: channel(*args) * 1.1)
+        with pytest.raises(NumericValidationError, match=r"matrix 0 of the stack\): .*trace deviation 1\.000e-01"):
+            run_sweep("w", ["fidelity_w"], mode="traced", alpha=0.5, omega1=grid)
+        monkeypatch.setattr(sweep, "projectors", lambda amps: projectors(amps) * 1.1)
+        with pytest.raises(NumericValidationError, match=r"matrix 0 of the stack\): .*trace deviation 1\.000e-01"):
+            run_sweep("w", ["entropy_a"], omega1=grid)
+
+
+def per_point_value(measure, psi, rho):
+    """One measure at one point through the public scalar functions."""
+    if measure in FIDELITY_TARGETS:
+        target = make_state(FIDELITY_TARGETS[measure])
+        return fidelity_pure(psi, target) if psi is not None else fidelity_vs_target(rho, target)
+    if measure == "avg_capacity":
+        return average_capacity(rho).average
+    if measure == "three_tangle":
+        return three_tangle(psi).three_tangle
+    if measure in PAIRS:
+        return concurrence(reduced(rho, PAIRS[measure]))
+    return von_neumann_entropy(reduced(rho, (0,)))  # entropy_a
+
+
+PAIRS = {"concurrence_ab": (0, 1), "concurrence_ac": (0, 2), "concurrence_bc": (1, 2)}
+TRACED_MEASURES = [m for m in sweep.MEASURE_IDS if m != "three_tangle"]
+
+
+class TestStackedEqualsPerPoint:
+    """run_sweep evaluates whole chunks; every value must equal, bit for bit,
+    the one-point public call at that point."""
+
+    @staticmethod
+    def _grid_axes(rng):
+        # one free axis longer than a chunk, two seeded fixed angles
+        omega2, omega3 = rng.uniform(-TWO_PI, TWO_PI, 2)
+        return dict(omega1=SweepGrid(-1.0, 7.0, sweep.CHUNK_POINTS + 3), omega2=float(omega2), omega3=float(omega3))
+
+    @pytest.mark.parametrize(
+        "state, convention, alpha",
+        [
+            ("w", "opposite", math.pi / 4),
+            ("ghz_plus", "opposite", 0.6),
+            ("w_prime", "same", math.pi / 4),
+            ("ghz_minus", "same", 0.6),
+        ],
+    )
+    def test_traced(self, rng, state, convention, alpha):
+        records = run_sweep(
+            state, TRACED_MEASURES, mode="traced", alpha=alpha, convention=convention, **self._grid_axes(rng)
+        )
+        assert len(records) == len(TRACED_MEASURES) * (sweep.CHUNK_POINTS + 3)
+        config = MomentumConfig(alpha, convention)
+        for point in range(0, len(records), len(TRACED_MEASURES)):
+            row = records[point : point + len(TRACED_MEASURES)]
+            rho = momentum_traced_channel(make_state(state), (row[0].omega1, row[0].omega2, row[0].omega3), config)
+            for r in row:
+                assert r.value == per_point_value(r.measure, None, rho), r
+
+    @pytest.mark.parametrize("state", ["ghz_plus", "w"])
+    def test_pure(self, rng, state):
+        measures = ["avg_capacity", "three_tangle", "concurrence_ab", "concurrence_ac", "concurrence_bc", "entropy_a"]
+        records = run_sweep(state, measures, **self._grid_axes(rng))
+        assert len(records) == len(measures) * (sweep.CHUNK_POINTS + 3)
+        for point in range(0, len(records), len(measures)):
+            row = records[point : point + len(measures)]
+            psi = product_transform(make_state(state), (row[0].omega1, row[0].omega2, row[0].omega3))
+            rho = to_density(psi)
+            for r in row:
+                assert r.value == per_point_value(r.measure, psi, rho), r
 
 
 class TestWriteCsv:
@@ -363,6 +458,14 @@ class TestFigurePresets:
         np.testing.assert_allclose(columns["three_tangle.pure"], 0.0, atol=1e-8)
         traced = columns["concurrence_ab.traced"]
         assert traced.max() > 0.6 and traced.min() < 0.4  # angle-dependent decay
+
+    @pytest.mark.parametrize("name", sweep.FIGURE_NAMES)
+    def test_preset_bytes_match_the_golden_hashes(self, tmp_path, name):
+        # bench/golden.json holds the SHA-256 of every preset CSV; a change
+        # that alters any byte on purpose rewrites it (bench/run.py --regen-golden).
+        golden = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())[name]
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path, _ in run_figure(name, tmp_path)}
+        assert written == golden
 
     def test_unknown_preset(self, tmp_path):
         with pytest.raises(ValueError, match="unknown figure preset"):
