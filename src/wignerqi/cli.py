@@ -9,17 +9,18 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .lorentz import BRANCH_CONVENTIONS
 from .qmath import NumericValidationError
 from .states import STATE_TAGS
 from .sweep import (
+    AXES,
     FIGURE_NAMES,
     MODES,
     parse_angle,
     parse_axis,
     parse_tie,
     run_figure,
-    run_sweep,
-    write_csv,
+    write_sweep,
 )
 
 EXIT_OK = 0
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FOLLOWER=LEADER",
         help="tie one angle axis to another, e.g. omega2=omega1 (repeatable)",
     )
-    sweep.add_argument("--convention", default="opposite", choices=("opposite", "same"))
+    sweep.add_argument("--convention", default="opposite", choices=BRANCH_CONVENTIONS)
     sweep.add_argument("--measure", action="append", required=True, help="measure id, comma-separable")
     sweep.add_argument("--out", required=True, help="destination CSV path")
 
@@ -59,59 +60,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _run_sweep_command(args) -> int:
+def _run_sweep_command(args) -> list:
     measures = [m for chunk in args.measure for m in chunk.split(",") if m]
-    try:
-        ties = [parse_tie(t) for t in args.tie]
-        alpha = parse_angle(args.alpha)
-        axes = {}
-        for axis in ("omega1", "omega2", "omega3"):
-            token = getattr(args, axis)
-            if token is not None and any(axis == follower for follower, _ in ties):
-                return _usage(f"axis {axis} is tied, drop its --{axis} argument")
-            axes[axis] = 0.0 if token is None else parse_axis(token)
-        records = run_sweep(
-            args.state,
-            measures,
-            mode=args.mode,
-            alpha=alpha,
-            ties=ties,
-            convention=args.convention,
-            **axes,
-        )
-    except NumericValidationError as exc:
-        print(f"numeric validation failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        return _usage(str(exc))
-    try:
-        count = write_csv(records, args.out)
-    except OSError as exc:
-        print(f"I/O error writing {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"wrote {count} rows to {args.out}")
-    return EXIT_OK
-
-
-def _run_figure_command(args) -> int:
-    try:
-        written = run_figure(args.name, args.out_dir)
-    except NumericValidationError as exc:
-        print(f"numeric validation failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        return _usage(str(exc))
-    except OSError as exc:
-        print(f"I/O error under {args.out_dir}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    for path, count in written:
-        print(f"wrote {count} rows to {path}")
-    return EXIT_OK
+    ties = [parse_tie(t) for t in args.tie]
+    axes = {}
+    for axis in AXES:
+        token = getattr(args, axis)
+        if token is not None and any(axis == follower for follower, _ in ties):
+            raise ValueError(f"axis {axis} is tied, drop its --{axis} argument")
+        axes[axis] = 0.0 if token is None else parse_axis(token)
+    options = dict(mode=args.mode, alpha=parse_angle(args.alpha), ties=ties, convention=args.convention, **axes)
+    return [(args.out, write_sweep(args.out, args.state, measures, **options))]
 
 
 def main(argv=None) -> int:
@@ -120,9 +79,23 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has already printed the message
         return int(exc.code or 0)
-    if args.command == "sweep":
-        return _run_sweep_command(args)
-    return _run_figure_command(args)
+    try:
+        if args.command == "sweep":
+            written = _run_sweep_command(args)
+        else:
+            written = run_figure(args.name, args.out_dir)
+    except NumericValidationError as exc:
+        print(f"numeric validation failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    for path, count in written:
+        print(f"wrote {count} rows to {path}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -180,21 +180,23 @@ def audit_w_coefficient_table(angles, atol: float = 1e-12) -> WTableReport:
     return WTableReport(angles, mism, flipped, float(dev.max()))
 
 
-def momentum_traced_channel_batch(amplitudes, rotations, reversed_rotations, config: MomentumConfig) -> np.ndarray:
+def momentum_traced_channel_batch(amplitudes, rotations, config: MomentumConfig) -> np.ndarray:
     """Stack of :func:`momentum_traced_channel` outputs, shape (n, 8, 8).
 
     ``rotations`` are the forward branch's three (n, 2, 2) per-qubit rotation
-    stacks (see :func:`wigner_unitaries`) and ``reversed_rotations`` the same
-    at the negated angles, which only the ``opposite`` convention reads. Every
-    branch norm and branch projector is checked; the mixed output is not, so
-    callers check it (as :class:`~wignerqi.states.DensityOperator` does).
+    stacks (see :func:`wigner_unitaries`). The ``opposite`` convention rotates
+    the reversed branch by their transposes: D(-omega) = D(omega)^T holds bit
+    for bit, since negation is exact and the math library's cos is even and its
+    sin odd. Every branch norm and branch projector is checked; the mixed output
+    is not, so callers check it (as :class:`~wignerqi.states.DensityOperator`
+    does).
     """
     forward = product_transform_batch(amplitudes, *rotations)
     check_unit_norms(forward)
     forward_projectors = projectors(forward)
     check_densities(forward_projectors)
     if config.branch_sign_convention == OPPOSITE:
-        reversed_branch = product_transform_batch(amplitudes, *reversed_rotations)
+        reversed_branch = product_transform_batch(amplitudes, *(d.mT for d in rotations))
         check_unit_norms(reversed_branch)
         reversed_projectors = projectors(reversed_branch)
         check_densities(reversed_projectors)
@@ -219,6 +221,4 @@ def momentum_traced_channel(psi: PureState, angles, config: MomentumConfig) -> D
         raise ValueError(f"momentum_traced_channel acts on 3 qubits, got {psi.qubit_count}")
     angles = _as_angles(angles)
     rotations = [wigner_unitary(omega)[None] for omega in angles]
-    # a generator: the same convention never builds the reversed rotations
-    reversed_rotations = (wigner_unitary(-omega)[None] for omega in angles)
-    return DensityOperator(momentum_traced_channel_batch(psi.amplitudes, rotations, reversed_rotations, config)[0])
+    return DensityOperator(momentum_traced_channel_batch(psi.amplitudes, rotations, config)[0])

@@ -10,6 +10,7 @@ runs are byte-identical.
 from __future__ import annotations
 
 import contextlib
+import errno
 import math
 import os
 import re
@@ -19,7 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lorentz import MomentumConfig, momentum_traced_channel_batch, product_transform_batch, wigner_unitaries
+from .lorentz import (
+    BRANCH_CONVENTIONS,
+    MomentumConfig,
+    momentum_traced_channel_batch,
+    product_transform_batch,
+    wigner_unitaries,
+)
 from .measures import (
     average_capacity_batch,
     concurrence_batch,
@@ -65,9 +72,10 @@ MODES = ("pure", "traced")
 # so this also bounds its working memory; of 256-2048, 512 ran the 129x129
 # surfaces fastest.
 CHUNK_POINTS = 512
-# Largest sweep run_sweep accepts, in rows (grid points x measures). Its
-# record list costs a few hundred bytes a row, so this bounds it at a few
-# hundred MB.
+# Largest sweep run_sweep and write_sweep accept, in rows (grid points x
+# measures). It bounds run_sweep's record list, a few hundred bytes a row, at
+# a few hundred MB; write_sweep streams in chunks but keeps the same cap, so
+# both entry points accept the same sweeps.
 MAX_SWEEP_ROWS = 2**20
 
 
@@ -194,11 +202,15 @@ class _Plan(NamedTuple):
     sources: tuple[int, int, int]  # the free axis that omega1..omega3 each read
 
 
-def _plan(state, measures, mode, alpha, omegas, ties, convention) -> _Plan:
+def _plan(
+    state, measures, *, mode="pure", alpha=0.0, omega1=0.0, omega2=0.0, omega3=0.0, ties=(), convention="opposite"
+) -> _Plan:
     if state not in STATE_TAGS:
         raise ValueError(f"unknown state {state!r}; expected one of {STATE_TAGS}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if convention not in BRANCH_CONVENTIONS:
+        raise ValueError(f"unknown branch convention {convention!r}; expected one of {BRANCH_CONVENTIONS}")
     if mode == "pure" and alpha != 0.0:
         raise ValueError(f"alpha {alpha!r} has no effect in pure mode; use the traced mode or alpha 0")
     measures = tuple(measures)
@@ -214,7 +226,7 @@ def _plan(state, measures, mode, alpha, omegas, ties, convention) -> _Plan:
         raise ValueError("three_tangle is undefined for the traced (mixed) mode; request it in pure mode")
 
     roots = _resolve_ties(ties)
-    specs = dict(zip(AXES, omegas))
+    specs = dict(zip(AXES, (omega1, omega2, omega3)))
     free_axes = [axis for axis in AXES if axis not in roots]
     shape = tuple(int(specs[axis].count) if isinstance(specs[axis], SweepGrid) else 1 for axis in free_axes)
     rows = math.prod(shape) * len(measures)
@@ -258,7 +270,6 @@ def _chunks(plan: _Plan):
         needs_rho = any(m not in targets for m in plan.measures)
     else:
         config = MomentumConfig(plan.alpha, plan.convention)
-        reversed_rotations = [wigner_unitaries(-grid) for grid in plan.grids]
     total = math.prod(plan.shape)
     for start in range(0, total, CHUNK_POINTS):
         indices = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, total)), plan.shape)
@@ -273,8 +284,7 @@ def _chunks(plan: _Plan):
                 rho = projectors(amps)
                 check_densities(rho)
         else:
-            point_reversed = [reversed_rotations[s][indices[s]] for s in plan.sources]
-            rho = momentum_traced_channel_batch(psi0.amplitudes, point_rotations, point_reversed, config)
+            rho = momentum_traced_channel_batch(psi0.amplitudes, point_rotations, config)
             check_densities(rho)
             values = {m: fidelity_vs_target_batch(rho, t) for m, t in targets.items()}
         for measure in plan.measures:
@@ -283,20 +293,11 @@ def _chunks(plan: _Plan):
         yield indices, angles, {m: column.tolist() for m, column in values.items()}
 
 
-def run_sweep(
-    state: str,
-    measures,
-    *,
-    mode: str = "pure",
-    alpha: float = 0.0,
-    omega1=0.0,
-    omega2=0.0,
-    omega3=0.0,
-    ties=(),
-    convention: str = "opposite",
-) -> list[MeasureRecord]:
+def run_sweep(state: str, measures, **options) -> list[MeasureRecord]:
     """Evaluate measures over an angle grid and return records in grid order.
 
+    The options and their defaults are ``mode="pure"``, ``alpha=0.0``,
+    ``omega1=omega2=omega3=0.0``, ``ties=()`` and ``convention="opposite"``.
     Each of ``omega1``..``omega3`` is either a fixed angle in radians or a
     :class:`SweepGrid`; axes named as tie followers take their leader's
     current value instead. Free axes iterate row-major with omega1 outermost.
@@ -307,7 +308,7 @@ def run_sweep(
     more than ``MAX_SWEEP_ROWS`` rows (grid points x measures) are refused
     with ``ValueError`` before anything is allocated.
     """
-    plan = _plan(state, measures, mode, alpha, (omega1, omega2, omega3), ties, convention)
+    plan = _plan(state, measures, **options)
     records = []
     for _, angles, values in _chunks(plan):
         columns = [values[m] for m in plan.measures]
@@ -330,8 +331,9 @@ def _staged_csvs():
     """Yield an opener of CSV files that reach their final names only together.
 
     Each file is written to a sibling temporary name (not ending in .csv) and
-    moved into place with ``os.replace`` once the block completes; if it
-    raises, every temporary file is removed and no destination is touched.
+    moved into place with ``os.replace`` once the block completes, after every
+    destination has been checked not to be a directory; if the block or that
+    check raises, every temporary file is removed and no destination is touched.
     """
     staged: dict[Path, tuple[Path, object]] = {}
 
@@ -347,6 +349,9 @@ def _staged_csvs():
         yield open_csv
         for _, handle in staged.values():
             handle.close()
+        for path in staged:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for path, (temp, _) in staged.items():
             os.replace(temp, path)
     except BaseException:
@@ -375,6 +380,50 @@ def write_csv(records, destination) -> int:
             )
             count += 1
     return count
+
+
+def _write_plans(sweeps, path_of) -> list[tuple[Path, int]]:
+    """Stream the rows of ``(suffix, plan)`` sweeps to CSV files; returns each file's row count.
+
+    A measure's rows carry the id ``measure + suffix`` and go to the file
+    ``path_of(measure_id)``. Measures of one plan that share a file interleave
+    per grid point in plan order, as ``run_sweep`` orders its records, so each
+    file has the bytes ``write_csv`` gives those records. Rows are formatted
+    and written a chunk at a time. The files appear together once every sweep
+    has been computed; an error leaves none.
+    """
+    counts: dict[Path, int] = {}
+    with _staged_csvs() as open_csv:
+        for suffix, plan in sweeps:
+            files: dict[Path, list[str]] = {}
+            for measure in plan.measures:
+                files.setdefault(path_of(measure + suffix), []).append(measure)
+            texts = [np.array([_fmt(v) for v in grid], dtype=object) for grid in plan.grids]
+            head = f"{plan.state},{_fmt(plan.alpha)},"
+            for indices, _, values in _chunks(plan):
+                o1, o2, o3 = (texts[s][indices[s]] for s in plan.sources)
+                for path, measures in files.items():
+                    rows = [""] * (len(measures) * len(o1))
+                    for offset, measure in enumerate(measures):
+                        measure_id = measure + suffix
+                        # the values are floats already: {v + 0.0:.12g} is _fmt(v) inlined
+                        rows[offset :: len(measures)] = [
+                            f"{head}{a},{b},{c},{measure_id},{v + 0.0:.12g}\n"
+                            for a, b, c, v in zip(o1, o2, o3, values[measure])
+                        ]
+                    open_csv(path).write("".join(rows))
+                    counts[path] = counts.get(path, 0) + len(rows)
+    return list(counts.items())
+
+
+def write_sweep(destination, state: str, measures, **options) -> int:
+    """Evaluate a sweep as :func:`run_sweep` does and write it as CSV; returns the row count.
+
+    The file has the bytes ``write_csv(run_sweep(state, measures, **options),
+    destination)`` gives, but rows are formatted and written a chunk at a
+    time, so no record list is built. The file appears only once complete.
+    """
+    return _write_plans([("", _plan(state, measures, **options))], lambda _: Path(destination))[0][1]
 
 
 # Preset sweep configurations. 1D slices use 257 points over [0, 2pi]
@@ -410,11 +459,10 @@ def _figure_sweeps(name: str) -> list[tuple[str, _Plan]]:
     pair = ("omega2=omega1",)
     if name in _SURFACES:
         state, measure = _SURFACES[name]
-        return [("", _plan(state, [measure], "pure", 0.0, (_GRID_2D, 0.0, _GRID_2D), pair, "opposite"))]
+        return [("", _plan(state, [measure], omega1=_GRID_2D, omega3=_GRID_2D, ties=pair))]
     if name in _SLICES:
         state, measures = _SLICES[name]
-        line = ("omega2=omega1", "omega3=omega1")
-        return [("", _plan(state, measures, "pure", 0.0, (_GRID_1D, 0.0, 0.0), line, "opposite"))]
+        return [("", _plan(state, measures, omega1=_GRID_1D, ties=("omega2=omega1", "omega3=omega1")))]
     if name in _FAMILIES:
         state, family = _FAMILIES[name]
         pure_measures = ["avg_capacity"] if family == "capacity" else ["three_tangle"]
@@ -423,9 +471,9 @@ def _figure_sweeps(name: str) -> list[tuple[str, _Plan]]:
         )
         sweeps = []
         for omega3 in _OMEGA3_FAMILY:
-            axes = (_GRID_1D, 0.0, omega3)
-            sweeps.append((".pure", _plan(state, pure_measures, "pure", 0.0, axes, pair, "opposite")))
-            sweeps.append((".traced", _plan(state, traced_measures, "traced", _TRACED_ALPHA, axes, pair, "opposite")))
+            axes = dict(omega1=_GRID_1D, omega3=omega3, ties=pair)
+            sweeps.append((".pure", _plan(state, pure_measures, **axes)))
+            sweeps.append((".traced", _plan(state, traced_measures, mode="traced", alpha=_TRACED_ALPHA, **axes)))
         return sweeps
     raise ValueError(f"unknown figure preset {name!r}; expected one of {FIGURE_NAMES}")
 
@@ -450,22 +498,4 @@ def run_figure(name: str, out_dir) -> list[tuple[Path, int]]:
     sweeps = _figure_sweeps(name)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    counts: dict[Path, int] = {}
-    with _staged_csvs() as open_csv:
-        for suffix, plan in sweeps:
-            texts = [np.array([_fmt(v) for v in grid], dtype=object) for grid in plan.grids]
-            head = f"{plan.state},{_fmt(plan.alpha)},"
-            for indices, _, values in _chunks(plan):
-                o1, o2, o3 = (texts[s][indices[s]] for s in plan.sources)
-                for measure in plan.measures:
-                    measure_id = measure + suffix
-                    path = out_path / f"fig{name}_{measure_id.replace('.', '_')}.csv"
-                    column = values[measure]
-                    # the values are floats already: {v + 0.0:.12g} is _fmt(v) inlined
-                    open_csv(path).write(
-                        "".join(
-                            f"{head}{a},{b},{c},{measure_id},{v + 0.0:.12g}\n" for a, b, c, v in zip(o1, o2, o3, column)
-                        )
-                    )
-                    counts[path] = counts.get(path, 0) + len(column)
-    return list(counts.items())
+    return _write_plans(sweeps, lambda measure_id: out_path / f"fig{name}_{measure_id.replace('.', '_')}.csv")

@@ -97,12 +97,80 @@ def test_io_error_exit_3(tmp_path):
 
 
 def test_numeric_failure_exit_4(tmp_path, monkeypatch):
-    def explode(*args, **kwargs):
-        raise NumericValidationError("synthetic invariant violation")
+    fidelities = sweep.fidelity_pure_batch
+    calls = []
 
-    monkeypatch.setattr(cli, "run_sweep", explode)
-    code = run(["sweep", "--state", "w", "--measure", "entropy_a", "--out", str(tmp_path / "x.csv")])
-    assert code == 4
+    def failing_after_first_chunk(*args):
+        calls.append(None)
+        if len(calls) > 1:
+            raise NumericValidationError("synthetic invariant violation")
+        return fidelities(*args)
+
+    monkeypatch.setattr(sweep, "fidelity_pure_batch", failing_after_first_chunk)
+    out = tmp_path / "x.csv"
+    out.write_text("old contents\n")
+    grid = f"0:1:{sweep.CHUNK_POINTS + 3}"
+    assert run(["sweep", "--state", "w", "--omega1", grid, "--measure", "fidelity_w", "--out", str(out)]) == 4
+    assert len(calls) == 2
+    assert out.read_text() == "old contents\n"
+    assert os.listdir(tmp_path) == ["x.csv"]
+
+
+TRACED_FOUR = ["fidelity_w", "concurrence_ac", "entropy_a", "avg_capacity"]
+# each case: the sweep flags, then the same sweep as run_sweep arguments
+SWEEP_CASES = {
+    "pure": (
+        ["--state", "ghz_plus", "--measure", "fidelity_gminus,three_tangle"],
+        ("ghz_plus", ["fidelity_gminus", "three_tangle"], {}),
+    ),
+    "traced_opposite": (
+        ["--state", "w", "--mode", "traced", "--alpha", "0.3pi", "--measure", ",".join(TRACED_FOUR)],
+        ("w", TRACED_FOUR, dict(mode="traced", alpha=0.3 * np.pi, convention="opposite")),
+    ),
+    "traced_same": (
+        ["--state", "w", "--mode", "traced", "--alpha", "0.3pi", "--convention", "same",
+         "--measure", ",".join(TRACED_FOUR)],
+        ("w", TRACED_FOUR, dict(mode="traced", alpha=0.3 * np.pi, convention="same")),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_bytes_equal_write_csv_of_run_sweep(tmp_path, case):
+    # the streamed rows interleave the measures per grid point across chunk boundaries
+    flags, (state, measures, options) = SWEEP_CASES[case]
+    count = sweep.CHUNK_POINTS + 3
+    out = tmp_path / "streamed.csv"
+    axes = [f"--omega1=-1:7:{count}", "--omega2=0.4", "--omega3=-1.1"]
+    assert run(["sweep", *flags, *axes, "--out", str(out)]) == 0
+    grid = sweep.SweepGrid(-1.0, 7.0, count)
+    records = sweep.run_sweep(state, measures, omega1=grid, omega2=0.4, omega3=-1.1, **options)
+    assert len(records) == len(measures) * count
+    listed = tmp_path / "listed.csv"
+    sweep.write_csv(records, listed)
+    assert out.read_bytes() == listed.read_bytes()
+
+
+def test_sweep_builds_no_records(tmp_path, monkeypatch):
+    def no_record(*args):
+        raise AssertionError("wignerqi sweep built a MeasureRecord")
+
+    monkeypatch.setattr(sweep, "MeasureRecord", no_record)
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--state", "w", "--omega1", f"0:1:{sweep.CHUNK_POINTS + 3}", "--measure", "fidelity_w,entropy_a"]
+    assert run([*argv, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2 * (sweep.CHUNK_POINTS + 3)
+
+
+def test_figure_rename_failure_replaces_no_file(tmp_path, capsys):
+    out_dir = tmp_path / "figs"
+    (out_dir / "fig1c_fidelity_gminus.csv").mkdir(parents=True)
+    old = out_dir / "fig1c_fidelity_gplus.csv"
+    old.write_text("old contents\n")
+    assert run(["figure", "1c", "--out-dir", str(out_dir)]) == 3
+    assert "Is a directory" in capsys.readouterr().err
+    assert old.read_text() == "old contents\n"
+    assert sorted(os.listdir(out_dir)) == ["fig1c_fidelity_gminus.csv", "fig1c_fidelity_gplus.csv"]
 
 
 def test_figure_numeric_failure_leaves_no_file(tmp_path, monkeypatch):

@@ -146,6 +146,12 @@ class TestProductTransformBatch:
         assert np.array_equal(batch[0], self.per_point(psi, angles))
         assert np.array_equal(batch[0], product_transform(psi, angles).amplitudes)
 
+    def test_negated_angles_transpose_bit_for_bit(self, rng):
+        # the traced channel's reversed branch relies on D(-w) = D(w)^T exactly
+        omegas = np.concatenate([rng.uniform(-1e15, 1e15, 2000), rng.uniform(-20.0, 20.0, 2000), [0.0, -0.0]])
+        transposed = np.ascontiguousarray(wigner_unitaries(omegas).mT)
+        assert np.array_equal(wigner_unitaries(-omegas).view(np.uint64), transposed.view(np.uint64))
+
     def test_unitaries_reject_non_finite(self):
         with pytest.raises(ValueError):
             wigner_unitaries([0.0, float("inf")])

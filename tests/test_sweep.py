@@ -247,6 +247,9 @@ class TestRunSweep:
             run_sweep("w", [])
         with pytest.raises(ValueError, match="no effect in pure mode"):
             run_sweep("w", ["fidelity_w"], alpha=0.4)
+        for mode in sweep.MODES:
+            with pytest.raises(ValueError, match="unknown branch convention"):
+                run_sweep("w", ["fidelity_w"], mode=mode, convention="sideways", omega1=0.3)
 
     def test_rejects_duplicate_measures(self):
         with pytest.raises(ValueError, match="duplicate measure"):
