@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import DensityOperator, PureState, check_densities, check_unit_norms, make_state, projectors
+from .states import DensityOperator, PureState, check_unit_norms, make_state, projectors
 
 #: Branch conventions for the momentum-superposed channel: ``opposite`` flips
 #: the sign of every Wigner angle on the reversed-momentum branch, ``same``
@@ -82,8 +82,14 @@ def _as_angles(angles) -> WignerAngles:
 
 
 def wigner_unitaries(omegas) -> np.ndarray:
-    """Stack of :func:`wigner_unitary` matrices, shape (n, 2, 2), one per angle."""
-    return np.stack([wigner_unitary(float(omega)) for omega in omegas])
+    """Stack of :func:`wigner_unitary` matrices, shape (n, 2, 2), one per angle, bit for bit."""
+    halves = [0.5 * float(omega) for omega in omegas]
+    for half in halves:
+        if not math.isfinite(half):
+            raise ValueError(f"angle must be finite, got {2.0 * half!r}")
+    c = np.array([math.cos(half) for half in halves])
+    s = np.array([math.sin(half) for half in halves])
+    return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2).astype(complex)
 
 
 def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -187,19 +193,17 @@ def momentum_traced_channel_batch(amplitudes, rotations, config: MomentumConfig)
     stacks (see :func:`wigner_unitaries`). The ``opposite`` convention rotates
     the reversed branch by their transposes: D(-omega) = D(omega)^T holds bit
     for bit, since negation is exact and the math library's cos is even and its
-    sin odd. Every branch norm and branch projector is checked; the mixed output
-    is not, so callers check it (as :class:`~wignerqi.states.DensityOperator`
-    does).
+    sin odd. Every row of both branches is checked to unit norm, which
+    certifies the mix (see :func:`~wignerqi.states.projectors`); no eigensolve
+    validates it.
     """
     forward = product_transform_batch(amplitudes, *rotations)
     check_unit_norms(forward)
     forward_projectors = projectors(forward)
-    check_densities(forward_projectors)
     if config.branch_sign_convention == OPPOSITE:
         reversed_branch = product_transform_batch(amplitudes, *(d.mT for d in rotations))
         check_unit_norms(reversed_branch)
         reversed_projectors = projectors(reversed_branch)
-        check_densities(reversed_projectors)
     else:
         reversed_projectors = forward_projectors
     w_forward = math.cos(config.alpha) ** 2

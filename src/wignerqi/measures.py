@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmath import matrix_sqrt_psd, partial_trace
-from .states import DensityOperator, PureState, reduce_densities, to_density
+from .states import DensityOperator, PureState, projectors
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -106,7 +106,7 @@ def clamp_capacity_batch(raw) -> np.ndarray:
 
 def pair_capacity_batch(pairs) -> np.ndarray:
     """Capacities 1 + S(rho_i) - S(rho_ij) of a (..., 4, 4) stack of validated pair states."""
-    marginals = reduce_densities(pairs, (0,))
+    marginals = partial_trace(pairs, 2, (0,))
     return clamp_capacity_batch(1.0 + von_neumann_entropy_batch(marginals) - von_neumann_entropy_batch(pairs))
 
 
@@ -126,7 +126,7 @@ def average_capacity_batch(matrices):
 
     Returns four arrays with the stack's leading shape.
     """
-    ab, ac, bc = (pair_capacity_batch(reduce_densities(matrices, pair)) for pair in ((0, 1), (0, 2), (1, 2)))
+    ab, ac, bc = (pair_capacity_batch(partial_trace(matrices, 3, pair)) for pair in ((0, 1), (0, 2), (1, 2)))
     return ab, ac, bc, (ab + ac + bc) / 3.0
 
 
@@ -181,7 +181,7 @@ def one_tangle(psi: PureState, pivot: int = 0) -> float:
     """Entanglement 2*sqrt(det rho_pivot) between one qubit and the rest."""
     if psi.qubit_count != 3:
         raise ValueError(f"one_tangle expects 3 qubits, got {psi.qubit_count}")
-    return float(one_tangle_batch(to_density(psi).matrix, pivot))
+    return float(one_tangle_batch(projectors(psi.amplitudes), pivot))
 
 
 def three_tangle_batch(projectors, pivot: int = 0):
@@ -192,8 +192,8 @@ def three_tangle_batch(projectors, pivot: int = 0):
     """
     others = [q for q in (0, 1, 2) if q != pivot]
     ot = one_tangle_batch(projectors, pivot)
-    c_first = concurrence_batch(reduce_densities(projectors, tuple(sorted((pivot, others[0])))))
-    c_second = concurrence_batch(reduce_densities(projectors, tuple(sorted((pivot, others[1])))))
+    c_first = concurrence_batch(partial_trace(projectors, 3, tuple(sorted((pivot, others[0])))))
+    c_second = concurrence_batch(partial_trace(projectors, 3, tuple(sorted((pivot, others[1])))))
     one_sq = ot * ot
     c12_sq = c_first * c_first
     c13_sq = c_second * c_second
@@ -205,8 +205,9 @@ def three_tangle(psi: PureState, pivot: int = 0) -> TangleBreakdown:
 
     Assembled as one_tangle**2 minus the squared concurrences of the two
     pair reductions containing ``pivot``. Mixed states are out of scope (the
-    convex-roof extension is not implemented).
+    convex-roof extension is not implemented). The kernel reads the
+    projector of ``psi``, which its checked norm certifies.
     """
     if psi.qubit_count != 3:
         raise ValueError(f"three_tangle expects 3 qubits, got {psi.qubit_count}")
-    return TangleBreakdown(*map(float, three_tangle_batch(to_density(psi).matrix, pivot)))
+    return TangleBreakdown(*map(float, three_tangle_batch(projectors(psi.amplitudes), pivot)))

@@ -172,8 +172,11 @@ def make_state(tag: str) -> PureState:
 def projectors(amplitudes) -> np.ndarray:
     """Rank-one projectors |a><a| of amplitude vectors (the last axis).
 
-    A stack of n vectors gives an (n, d, d) stack. Not validated: callers
-    check the result (e.g. with :func:`check_densities`).
+    A stack of n vectors gives an (n, d, d) stack. Not validated: the
+    projectors of unit-norm rows, their convex mixes and their partial traces
+    are Hermitian and of unit trace up to rounding, with no eigenvalue below
+    about -eps, so checked norms certify them. :class:`DensityOperator`
+    applies the full check.
     """
     a = np.asarray(amplitudes)
     return a[..., :, None] * a.conj()[..., None, :]
@@ -182,17 +185,6 @@ def projectors(amplitudes) -> np.ndarray:
 def to_density(psi: PureState) -> DensityOperator:
     """Rank-one projector |psi><psi| of a pure state."""
     return DensityOperator(projectors(psi.amplitudes))
-
-
-def reduce_densities(matrices, keep) -> np.ndarray:
-    """Partial traces of a stack of density matrices down to the qubits in ``keep``.
-
-    Each reduction is checked with :func:`check_densities`, as
-    :func:`reduced` checks its one matrix.
-    """
-    out = partial_trace(matrices, np.shape(matrices)[-1].bit_length() - 1, keep)
-    check_densities(out)
-    return out
 
 
 def reduced(rho: DensityOperator, keep) -> DensityOperator:

@@ -35,7 +35,8 @@ from .measures import (
     three_tangle_batch,
     von_neumann_entropy_batch,
 )
-from .states import STATE_TAGS, check_densities, check_unit_norms, make_state, projectors, reduce_densities
+from .qmath import partial_trace
+from .states import STATE_TAGS, check_unit_norms, make_state, projectors
 
 TWO_PI = 2.0 * math.pi
 
@@ -241,14 +242,14 @@ def _plan(
 
 
 def _column(measure: str, rho) -> np.ndarray:
-    """A measure other than the fidelities, over a chunk's validated (n, 8, 8) density stack."""
+    """A measure other than the fidelities, over a chunk's certified (n, 8, 8) density stack."""
     if measure == "avg_capacity":
         return average_capacity_batch(rho)[3]
     if measure == "three_tangle":
         return three_tangle_batch(rho)[3]
     if measure in _PAIRS:
-        return concurrence_batch(reduce_densities(rho, _PAIRS[measure]))
-    return von_neumann_entropy_batch(reduce_densities(rho, (0,)))  # entropy_a
+        return concurrence_batch(partial_trace(rho, 3, _PAIRS[measure]))
+    return von_neumann_entropy_batch(partial_trace(rho, 3, (0,)))  # entropy_a
 
 
 def _chunks(plan: _Plan):
@@ -261,7 +262,9 @@ def _chunks(plan: _Plan):
     the (n, 8) amplitudes; every other measure reads an (n, 8, 8) density
     stack, which is the block's traced-channel output or, in pure mode, the
     projectors of its amplitudes (built only if some measure reads them).
-    Each matrix the scalar API would validate is validated here as a stack.
+    Every transformed row is checked to unit norm, which certifies every
+    density formed from it (see :func:`~wignerqi.states.projectors`), so no
+    stack is eigensolved to validate it.
     """
     psi0 = make_state(plan.state)
     targets = {m: make_state(_FIDELITY_TARGETS[m]).amplitudes for m in plan.measures if m in _FIDELITY_TARGETS}
@@ -279,13 +282,9 @@ def _chunks(plan: _Plan):
             amps = product_transform_batch(psi0.amplitudes, *point_rotations)
             check_unit_norms(amps)
             values = {m: fidelity_pure_batch(amps, t) for m, t in targets.items()}
-            rho = None
-            if needs_rho:
-                rho = projectors(amps)
-                check_densities(rho)
+            rho = projectors(amps) if needs_rho else None
         else:
             rho = momentum_traced_channel_batch(psi0.amplitudes, point_rotations, config)
-            check_densities(rho)
             values = {m: fidelity_vs_target_batch(rho, t) for m, t in targets.items()}
         for measure in plan.measures:
             if measure not in values:

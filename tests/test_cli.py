@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from wignerqi import cli, sweep
+from wignerqi import cli, lorentz, sweep
 from wignerqi.qmath import NumericValidationError
 from wignerqi.sweep import CSV_HEADER
 
@@ -114,6 +114,25 @@ def test_numeric_failure_exit_4(tmp_path, monkeypatch):
     assert len(calls) == 2
     assert out.read_text() == "old contents\n"
     assert os.listdir(tmp_path) == ["x.csv"]
+
+
+def test_traced_factor_fault_exit_4(tmp_path, monkeypatch):
+    # a branch row off unit norm in the second chunk: exit 4 and no file, as
+    # the factor's norm check is what certifies the traced densities
+    transform = lorentz.product_transform_batch
+    calls = []
+
+    def scaled_after_first_chunk(*args):
+        calls.append(None)
+        return transform(*args) * (1.0 + 1e-9 if len(calls) > 2 else 1.0)
+
+    monkeypatch.setattr(lorentz, "product_transform_batch", scaled_after_first_chunk)
+    out = tmp_path / "x.csv"
+    grid = f"0:1:{sweep.CHUNK_POINTS + 3}"
+    argv = ["sweep", "--state", "w", "--mode", "traced", "--alpha", "0.25pi", "--omega1", grid]
+    assert run(argv + ["--measure", "fidelity_w,concurrence_ab", "--out", str(out)]) == 4
+    assert len(calls) == 3
+    assert os.listdir(tmp_path) == []
 
 
 TRACED_FOUR = ["fidelity_w", "concurrence_ac", "entropy_a", "avg_capacity"]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerqi.lorentz import (
+    BRANCH_CONVENTIONS,
     MomentumConfig,
     WignerAngles,
     audit_w_coefficient_table,
@@ -16,9 +17,10 @@ from wignerqi.lorentz import (
     wigner_unitaries,
     wigner_unitary,
 )
+from wignerqi.measures import concurrence
 from wignerqi.oracle import ghz_coefficients, w_coefficients
 from wignerqi.qmath import partial_trace
-from wignerqi.states import STATE_TAGS, PureState, make_state, to_density, validate_density
+from wignerqi.states import STATE_TAGS, PureState, make_state, reduced, to_density, validate_density
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -152,9 +154,15 @@ class TestProductTransformBatch:
         transposed = np.ascontiguousarray(wigner_unitaries(omegas).mT)
         assert np.array_equal(wigner_unitaries(-omegas).view(np.uint64), transposed.view(np.uint64))
 
+    def test_unitaries_equal_the_per_angle_stack_bit_for_bit(self, rng):
+        omegas = np.concatenate([rng.uniform(-1e15, 1e15, 4000), rng.uniform(-20.0, 20.0, 4257), [0.0, -0.0]])
+        expected = np.stack([wigner_unitary(omega) for omega in omegas])
+        assert np.array_equal(wigner_unitaries(omegas).view(np.uint64), expected.view(np.uint64))
+
     def test_unitaries_reject_non_finite(self):
-        with pytest.raises(ValueError):
-            wigner_unitaries([0.0, float("inf")])
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                wigner_unitaries([0.0, bad])
 
 
 class TestCoefficientTables:
@@ -266,3 +274,65 @@ class TestMomentumTracedChannel:
     def test_rejects_unknown_convention(self):
         with pytest.raises(ValueError):
             MomentumConfig(0.1, "sideways")
+
+
+# The named states are symmetric under every permutation of the qubits.
+SWAP_01 = np.eye(8)[[0, 1, 4, 5, 2, 3, 6, 7]]  # exchanges qubits 0 and 1
+# The concurrence route zeroes its spectrum below a relative floor, which
+# leaves errors up to ~1e-7 (8.0e-8 over 1.2M random traced GHZ pair
+# values); the matrix identities hold to a few eps.
+MATRIX_ATOL = 1e-14
+CONCURRENCE_ATOL = 1e-6
+alphas_st = st.floats(min_value=-math.pi, max_value=math.pi)
+triples_st = st.tuples(angles_st, angles_st, angles_st)
+
+
+class TestTracedChannelIdentities:
+    """Value identities of the momentum-traced channel (Gingrich & Adami,
+    PRL 89, 270402, 2002), independent of how its output is validated."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(state=st.sampled_from(STATE_TAGS), alpha=alphas_st, angles=triples_st)
+    def test_branch_swap(self, state, alpha, angles):
+        # rho(alpha, omega) = rho(pi/2 - alpha, -omega) under "opposite"
+        psi = make_state(state)
+        rho = momentum_traced_channel(psi, angles, MomentumConfig(alpha))
+        swapped = momentum_traced_channel(psi, [-omega for omega in angles], MomentumConfig(math.pi / 2 - alpha))
+        np.testing.assert_allclose(swapped.matrix, rho.matrix, rtol=0, atol=MATRIX_ATOL)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        state=st.sampled_from(STATE_TAGS),
+        alpha=alphas_st,
+        convention=st.sampled_from(BRANCH_CONVENTIONS),
+        angles=triples_st,
+    )
+    def test_qubit_swap(self, state, alpha, convention, angles):
+        omega1, omega2, omega3 = angles
+        config = MomentumConfig(alpha, convention)
+        rho = momentum_traced_channel(make_state(state), angles, config)
+        swapped = momentum_traced_channel(make_state(state), (omega2, omega1, omega3), config)
+        np.testing.assert_allclose(swapped.matrix, SWAP_01 @ rho.matrix @ SWAP_01, rtol=0, atol=MATRIX_ATOL)
+        c_ac = concurrence(reduced(rho, (0, 2)))
+        assert concurrence(reduced(swapped, (1, 2))) == pytest.approx(c_ac, rel=0, abs=CONCURRENCE_ATOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(state=st.sampled_from(STATE_TAGS), alpha=alphas_st, angles=triples_st)
+    def test_convexity(self, state, alpha, angles):
+        # both branches are local-unitary images of the input, so mixing them
+        # cannot raise a pair concurrence above its unboosted value
+        psi = make_state(state)
+        rho = momentum_traced_channel(psi, angles, MomentumConfig(alpha))
+        for pair in ((0, 1), (0, 2), (1, 2)):
+            traced = concurrence(reduced(rho, pair))
+            assert traced <= concurrence(reduced(to_density(psi), pair)) + CONCURRENCE_ATOL
+            if state.startswith("ghz"):
+                assert traced <= CONCURRENCE_ATOL
+
+    @settings(max_examples=100, deadline=None)
+    @given(state=st.sampled_from(STATE_TAGS), alpha=alphas_st, angles=triples_st)
+    def test_same_convention_is_the_pure_projector(self, state, alpha, angles):
+        psi = make_state(state)
+        rho = momentum_traced_channel(psi, angles, MomentumConfig(alpha, "same"))
+        pure = to_density(product_transform(psi, angles))
+        np.testing.assert_allclose(rho.matrix, pure.matrix, rtol=0, atol=MATRIX_ATOL)

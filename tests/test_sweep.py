@@ -10,8 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerqi import sweep
-from wignerqi.lorentz import MomentumConfig, momentum_traced_channel, product_transform
+from wignerqi import lorentz, sweep
+from wignerqi.lorentz import (
+    BRANCH_CONVENTIONS,
+    MomentumConfig,
+    momentum_traced_channel,
+    momentum_traced_channel_batch,
+    product_transform,
+    product_transform_batch,
+    wigner_unitaries,
+)
 from wignerqi.measures import (
     average_capacity,
     concurrence,
@@ -20,8 +28,8 @@ from wignerqi.measures import (
     three_tangle,
     von_neumann_entropy,
 )
-from wignerqi.qmath import NumericValidationError
-from wignerqi.states import make_state, projectors, reduced, to_density
+from wignerqi.qmath import NumericValidationError, partial_trace
+from wignerqi.states import STATE_TAGS, check_densities, make_state, projectors, reduced, to_density
 from wignerqi.sweep import (
     AngleParseError,
     CSV_HEADER,
@@ -301,15 +309,26 @@ class TestRunSweep:
             run_sweep("w", ["fidelity_w"], omega1=SweepGrid(0.0, TWO_PI, 9))
 
     def test_batched_density_checks(self, monkeypatch):
-        # the traced mix and the pure-state projectors are validated as stacks
+        # no density stack is eigensolved: the checked norms of its factors
+        # certify it, so a corrupted factor (a norm off, or a NaN) stops both modes
         grid = SweepGrid(0.0, TWO_PI, 9)
-        channel = sweep.momentum_traced_channel_batch
-        monkeypatch.setattr(sweep, "momentum_traced_channel_batch", lambda *args: channel(*args) * 1.1)
-        with pytest.raises(NumericValidationError, match=r"matrix 0 of the stack\): .*trace deviation 1\.000e-01"):
-            run_sweep("w", ["fidelity_w"], mode="traced", alpha=0.5, omega1=grid)
-        monkeypatch.setattr(sweep, "projectors", lambda amps: projectors(amps) * 1.1)
-        with pytest.raises(NumericValidationError, match=r"matrix 0 of the stack\): .*trace deviation 1\.000e-01"):
-            run_sweep("w", ["entropy_a"], omega1=grid)
+        transform = lorentz.product_transform_batch
+
+        def scaled(*args):
+            return transform(*args) * (1.0 + 1e-9)
+
+        def with_nan(*args):
+            rows = transform(*args)
+            rows[-1, 0] = np.nan
+            return rows
+
+        for fault in (scaled, with_nan):
+            monkeypatch.setattr(lorentz, "product_transform_batch", fault)
+            with pytest.raises(NumericValidationError, match="norm"):
+                run_sweep("w", ["fidelity_w", "entropy_a"], mode="traced", alpha=0.5, omega1=grid)
+        monkeypatch.setattr(sweep, "product_transform_batch", with_nan)
+        with pytest.raises(NumericValidationError, match="norm nan"):
+            run_sweep("w", ["fidelity_w", "entropy_a"], omega1=grid)
 
 
 def per_point_value(measure, psi, rho):
@@ -372,6 +391,63 @@ class TestStackedEqualsPerPoint:
             rho = to_density(psi)
             for r in row:
                 assert r.value == per_point_value(r.measure, psi, rho), r
+
+
+def core_density_stacks(amplitudes, rotations, config):
+    """Every density stack the chunk core forms at these rotations, built by direct kernel calls.
+
+    ``config`` is None for the pure mode. Yields the branch projectors, the
+    traced mix, the three pair reductions with their first-qubit marginals,
+    and the one-qubit reduction.
+    """
+    rho = projectors(product_transform_batch(amplitudes, *rotations))
+    yield rho
+    if config is not None:
+        if config.branch_sign_convention == "opposite":
+            yield projectors(product_transform_batch(amplitudes, *(d.mT for d in rotations)))
+        rho = momentum_traced_channel_batch(amplitudes, rotations, config)
+        yield rho
+    for pair in PAIRS.values():
+        reduction = partial_trace(rho, 3, pair)
+        yield reduction
+        yield partial_trace(reduction, 2, (0,))
+    yield partial_trace(rho, 3, (0,))
+
+
+class TestDensityCertificate:
+    """The chunk core checks the norms of its factors and no density it forms:
+    on those factors the full eigensolve check cannot fail. These tests run
+    that check, at its own tolerances, on what the core forms."""
+
+    def test_preset_stacks_pass_the_full_check(self):
+        plans = 0
+        for name in sweep.FIGURE_NAMES:
+            for _, plan in sweep._figure_sweeps(name):
+                if plan.mode == "pure" and all(m in FIDELITY_TARGETS for m in plan.measures):
+                    continue  # fidelities read the amplitudes; no density is formed
+                plans += 1
+                config = MomentumConfig(plan.alpha, plan.convention) if plan.mode == "traced" else None
+                amplitudes = make_state(plan.state).amplitudes
+                total = math.prod(plan.shape)
+                for start in range(0, total, sweep.CHUNK_POINTS):
+                    indices = np.unravel_index(np.arange(start, min(start + sweep.CHUNK_POINTS, total)), plan.shape)
+                    rotations = [wigner_unitaries(plan.grids[s][indices[s]]) for s in plan.sources]
+                    for stack in core_density_stacks(amplitudes, rotations, config):
+                        check_densities(stack)
+        assert plans == 32  # presets 3a-4b: four omega3 values, pure and traced
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        state=st.sampled_from(STATE_TAGS),
+        alpha=st.floats(min_value=-math.pi, max_value=math.pi),
+        convention=st.sampled_from(BRANCH_CONVENTIONS + (None,)),
+        angles=st.lists(st.floats(min_value=-4 * math.pi, max_value=4 * math.pi), min_size=3, max_size=3),
+    )
+    def test_stacks_pass_the_full_check(self, state, alpha, convention, angles):
+        config = None if convention is None else MomentumConfig(alpha, convention)
+        rotations = [wigner_unitaries([omega]) for omega in angles]
+        for stack in core_density_stacks(make_state(state).amplitudes, rotations, config):
+            check_densities(stack)
 
 
 class TestWriteCsv:
