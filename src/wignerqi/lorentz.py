@@ -67,29 +67,28 @@ class MomentumConfig:
             )
 
 
-def wigner_unitary(omega: float) -> np.ndarray:
-    """Single-qubit Wigner rotation [[c, -s], [s, c]] at half angle omega/2."""
-    if not math.isfinite(omega):
-        raise ValueError(f"angle must be finite, got {omega!r}")
-    c = math.cos(0.5 * omega)
-    s = math.sin(0.5 * omega)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def _as_angles(angles) -> WignerAngles:
     o1, o2, o3 = angles
     return WignerAngles(float(o1), float(o2), float(o3))
 
 
 def wigner_unitaries(omegas) -> np.ndarray:
-    """Stack of :func:`wigner_unitary` matrices, shape (n, 2, 2), one per angle, bit for bit."""
-    halves = [0.5 * float(omega) for omega in omegas]
-    for half in halves:
-        if not math.isfinite(half):
-            raise ValueError(f"angle must be finite, got {2.0 * half!r}")
-    c = np.array([math.cos(half) for half in halves])
-    s = np.array([math.sin(half) for half in halves])
-    return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2).astype(complex)
+    """Single-qubit Wigner rotations [[c, -s], [s, c]] at half angles omega/2, shape (n, 2, 2)."""
+    omegas = [float(omega) for omega in omegas]
+    for omega in omegas:
+        if not math.isfinite(omega):
+            raise ValueError(f"angle must be finite, got {omega!r}")
+    u = np.zeros((len(omegas), 2, 2), dtype=complex)
+    real = u.real
+    real[:, 0, 0] = real[:, 1, 1] = [math.cos(0.5 * omega) for omega in omegas]
+    real[:, 1, 0] = [math.sin(0.5 * omega) for omega in omegas]
+    np.negative(real[:, 1, 0], out=real[:, 0, 1])
+    return u
+
+
+def wigner_unitary(omega: float) -> np.ndarray:
+    """Single-qubit Wigner rotation at half angle omega/2; the one-angle case of :func:`wigner_unitaries`."""
+    return wigner_unitaries([omega])[0]
 
 
 def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -119,7 +118,7 @@ def product_transform(psi: PureState, angles) -> PureState:
     """
     if psi.qubit_count != 3:
         raise ValueError(f"product_transform acts on 3 qubits, got {psi.qubit_count}")
-    rotations = (wigner_unitary(omega)[None] for omega in _as_angles(angles))
+    rotations = wigner_unitaries(_as_angles(angles))[:, None]
     return PureState(product_transform_batch(psi.amplitudes, *rotations)[0])
 
 
@@ -223,6 +222,5 @@ def momentum_traced_channel(psi: PureState, angles, config: MomentumConfig) -> D
     """
     if psi.qubit_count != 3:
         raise ValueError(f"momentum_traced_channel acts on 3 qubits, got {psi.qubit_count}")
-    angles = _as_angles(angles)
-    rotations = [wigner_unitary(omega)[None] for omega in angles]
+    rotations = wigner_unitaries(_as_angles(angles))[:, None]
     return DensityOperator(momentum_traced_channel_batch(psi.amplitudes, rotations, config)[0])

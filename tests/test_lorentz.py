@@ -154,15 +154,19 @@ class TestProductTransformBatch:
         transposed = np.ascontiguousarray(wigner_unitaries(omegas).mT)
         assert np.array_equal(wigner_unitaries(-omegas).view(np.uint64), transposed.view(np.uint64))
 
-    def test_unitaries_equal_the_per_angle_stack_bit_for_bit(self, rng):
+    def test_unitaries_hold_the_half_angle_cos_and_sin_bit_for_bit(self, rng):
+        # the preset bytes rest on these exact entries
         omegas = np.concatenate([rng.uniform(-1e15, 1e15, 4000), rng.uniform(-20.0, 20.0, 4257), [0.0, -0.0]])
-        expected = np.stack([wigner_unitary(omega) for omega in omegas])
+        trig = [(math.cos(0.5 * omega), math.sin(0.5 * omega)) for omega in omegas]
+        expected = np.array([[[c, -s], [s, c]] for c, s in trig], dtype=complex)
         assert np.array_equal(wigner_unitaries(omegas).view(np.uint64), expected.view(np.uint64))
 
     def test_unitaries_reject_non_finite(self):
-        for bad in (float("inf"), float("-inf"), float("nan")):
-            with pytest.raises(ValueError, match="finite"):
+        for bad in (float("inf"), float("-inf"), float("nan"), np.float64("nan")):
+            with pytest.raises(ValueError, match=f"finite, got {float(bad)!r}$"):
                 wigner_unitaries([0.0, bad])
+            with pytest.raises(ValueError, match="finite"):
+                wigner_unitary(bad)
 
 
 class TestCoefficientTables:

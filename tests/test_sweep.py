@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -10,16 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerqi import lorentz, sweep
-from wignerqi.lorentz import (
-    BRANCH_CONVENTIONS,
-    MomentumConfig,
-    momentum_traced_channel,
-    momentum_traced_channel_batch,
-    product_transform,
-    product_transform_batch,
-    wigner_unitaries,
-)
+from wignerqi import lorentz, measures, sweep
+from wignerqi.lorentz import BRANCH_CONVENTIONS, MomentumConfig, momentum_traced_channel, product_transform
 from wignerqi.measures import (
     average_capacity,
     concurrence,
@@ -28,7 +21,7 @@ from wignerqi.measures import (
     three_tangle,
     von_neumann_entropy,
 )
-from wignerqi.qmath import NumericValidationError, partial_trace
+from wignerqi.qmath import NumericValidationError
 from wignerqi.states import STATE_TAGS, check_densities, make_state, projectors, reduced, to_density
 from wignerqi.sweep import (
     AngleParseError,
@@ -393,48 +386,55 @@ class TestStackedEqualsPerPoint:
                 assert r.value == per_point_value(r.measure, psi, rho), r
 
 
-def core_density_stacks(amplitudes, rotations, config):
-    """Every density stack the chunk core forms at these rotations, built by direct kernel calls.
+#: Every kernel through which the chunk core forms a density stack: the pure
+#: projectors, the traced mix and its two branch projectors, and the
+#: reductions (pairs, their first-qubit marginals, the one-qubit reduction).
+DENSITY_KERNELS = (
+    (sweep, "projectors"),
+    (lorentz, "projectors"),
+    (sweep, "momentum_traced_channel_batch"),
+    (sweep, "partial_trace"),
+    (measures, "partial_trace"),
+)
 
-    ``config`` is None for the pure mode. Yields the branch projectors, the
-    traced mix, the three pair reductions with their first-qubit marginals,
-    and the one-qubit reduction.
-    """
-    rho = projectors(product_transform_batch(amplitudes, *rotations))
-    yield rho
-    if config is not None:
-        if config.branch_sign_convention == "opposite":
-            yield projectors(product_transform_batch(amplitudes, *(d.mT for d in rotations)))
-        rho = momentum_traced_channel_batch(amplitudes, rotations, config)
-        yield rho
-    for pair in PAIRS.values():
-        reduction = partial_trace(rho, 3, pair)
-        yield reduction
-        yield partial_trace(reduction, 2, (0,))
-    yield partial_trace(rho, 3, (0,))
+
+def check_formed_densities(patch):
+    """Send every stack a density kernel returns through the full check; count the matrices per kernel."""
+    counts = collections.Counter()
+
+    def checked(kernel, key):
+        def run(*args):
+            stack = kernel(*args)
+            check_densities(stack)
+            counts[key] += len(stack)
+            return stack
+
+        return run
+
+    for module, name in DENSITY_KERNELS:
+        patch.setattr(module, name, checked(getattr(module, name), f"{module.__name__}.{name}"))
+    return counts
 
 
 class TestDensityCertificate:
     """The chunk core checks the norms of its factors and no density it forms:
     on those factors the full eigensolve check cannot fail. These tests run
-    that check, at its own tolerances, on what the core forms."""
+    the core with that check, at its own tolerances, on every stack it forms."""
 
-    def test_preset_stacks_pass_the_full_check(self):
-        plans = 0
+    def test_preset_stacks_pass_the_full_check(self, tmp_path, monkeypatch):
+        counts = check_formed_densities(monkeypatch)
         for name in sweep.FIGURE_NAMES:
-            for _, plan in sweep._figure_sweeps(name):
-                if plan.mode == "pure" and all(m in FIDELITY_TARGETS for m in plan.measures):
-                    continue  # fidelities read the amplitudes; no density is formed
-                plans += 1
-                config = MomentumConfig(plan.alpha, plan.convention) if plan.mode == "traced" else None
-                amplitudes = make_state(plan.state).amplitudes
-                total = math.prod(plan.shape)
-                for start in range(0, total, sweep.CHUNK_POINTS):
-                    indices = np.unravel_index(np.arange(start, min(start + sweep.CHUNK_POINTS, total)), plan.shape)
-                    rotations = [wigner_unitaries(plan.grids[s][indices[s]]) for s in plan.sources]
-                    for stack in core_density_stacks(amplitudes, rotations, config):
-                        check_densities(stack)
-        assert plans == 32  # presets 3a-4b: four omega3 values, pure and traced
+            run_figure(name, tmp_path)
+        # presets 3a-4b: 257 points for each of four omega3 values, pure and traced
+        points = 4 * 257
+        assert counts == {
+            "wignerqi.sweep.projectors": 4 * points,  # pure capacities and tangles
+            "wignerqi.lorentz.projectors": 2 * 4 * points,  # both branches of every traced point
+            "wignerqi.sweep.momentum_traced_channel_batch": 4 * points,
+            "wignerqi.sweep.partial_trace": 2 * 3 * points,  # traced pair concurrences of 4a, 4b
+            # capacities: three pairs and their marginals; tangles: one-qubit and two pairs
+            "wignerqi.measures.partial_trace": 2 * 2 * 6 * points + 2 * 3 * points,
+        }
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -444,10 +444,16 @@ class TestDensityCertificate:
         angles=st.lists(st.floats(min_value=-4 * math.pi, max_value=4 * math.pi), min_size=3, max_size=3),
     )
     def test_stacks_pass_the_full_check(self, state, alpha, convention, angles):
-        config = None if convention is None else MomentumConfig(alpha, convention)
-        rotations = [wigner_unitaries([omega]) for omega in angles]
-        for stack in core_density_stacks(make_state(state).amplitudes, rotations, config):
-            check_densities(stack)
+        axes = dict(zip(("omega1", "omega2", "omega3"), angles))
+        if convention is None:
+            options = dict(measures=sweep.MEASURE_IDS)
+        else:
+            options = dict(measures=TRACED_MEASURES, mode="traced", alpha=alpha, convention=convention)
+        with pytest.MonkeyPatch.context() as patch:
+            counts = check_formed_densities(patch)
+            run_sweep(state, **options, **axes)
+        assert counts["wignerqi.measures.partial_trace"] > 0 and counts["wignerqi.sweep.partial_trace"] == 4
+        assert counts["wignerqi.sweep.momentum_traced_channel_batch"] == (convention is not None)
 
 
 class TestWriteCsv:
