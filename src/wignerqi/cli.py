@@ -18,7 +18,6 @@ from .sweep import (
     MODES,
     parse_angle,
     parse_axis,
-    parse_tie,
     run_figure,
     write_sweep,
 )
@@ -62,14 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_sweep_command(args) -> list:
     measures = [m for chunk in args.measure for m in chunk.split(",") if m]
-    ties = [parse_tie(t) for t in args.tie]
-    axes = {}
-    for axis in AXES:
-        token = getattr(args, axis)
-        if token is not None and any(axis == follower for follower, _ in ties):
-            raise ValueError(f"axis {axis} is tied, drop its --{axis} argument")
-        axes[axis] = 0.0 if token is None else parse_axis(token)
-    options = dict(mode=args.mode, alpha=parse_angle(args.alpha), ties=ties, convention=args.convention, **axes)
+    axes = {axis: parse_axis(getattr(args, axis)) for axis in AXES if getattr(args, axis) is not None}
+    options = dict(mode=args.mode, alpha=parse_angle(args.alpha), ties=args.tie, convention=args.convention, **axes)
     return [(args.out, write_sweep(args.out, args.state, measures, **options))]
 
 

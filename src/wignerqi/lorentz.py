@@ -166,7 +166,11 @@ class WTableReport:
     max_abs_deviation: float
 
 
-def audit_w_coefficient_table(angles, atol: float = 1e-12) -> WTableReport:
+# Largest deviation at which a table entry still matches a direct transform.
+_W_TABLE_ATOL = 1e-12
+
+
+def audit_w_coefficient_table(angles) -> WTableReport:
     """Compare the erratic w table entry by entry against direct transforms.
 
     ``mismatched_indices`` lists the amplitude slots where the variant table
@@ -180,8 +184,8 @@ def audit_w_coefficient_table(angles, atol: float = 1e-12) -> WTableReport:
     direct_w = product_transform(make_state("w"), angles).amplitudes
     direct_wp = product_transform(make_state("w_prime"), angles).amplitudes
     dev = np.abs(variant - direct_w)
-    mism = tuple(int(i) for i in range(8) if dev[i] > atol)
-    flipped = tuple(int(i) for i in range(8) if abs(variant[i] - direct_wp[i]) <= atol)
+    mism = tuple(int(i) for i in range(8) if dev[i] > _W_TABLE_ATOL)
+    flipped = tuple(int(i) for i in range(8) if abs(variant[i] - direct_wp[i]) <= _W_TABLE_ATOL)
     return WTableReport(angles, mism, flipped, float(dev.max()))
 
 

@@ -106,7 +106,7 @@ def clamp_capacity_batch(raw) -> np.ndarray:
 
 def pair_capacity_batch(pairs) -> np.ndarray:
     """Capacities 1 + S(rho_i) - S(rho_ij) of a (..., 4, 4) stack of validated pair states."""
-    marginals = partial_trace(pairs, 2, (0,))
+    marginals = partial_trace(pairs, (0,))
     return clamp_capacity_batch(1.0 + von_neumann_entropy_batch(marginals) - von_neumann_entropy_batch(pairs))
 
 
@@ -126,7 +126,7 @@ def average_capacity_batch(matrices):
 
     Returns four arrays with the stack's leading shape.
     """
-    ab, ac, bc = (pair_capacity_batch(partial_trace(matrices, 3, pair)) for pair in ((0, 1), (0, 2), (1, 2)))
+    ab, ac, bc = (pair_capacity_batch(partial_trace(matrices, pair)) for pair in ((0, 1), (0, 2), (1, 2)))
     return ab, ac, bc, (ab + ac + bc) / 3.0
 
 
@@ -164,11 +164,9 @@ def concurrence(rho: DensityOperator) -> float:
     return float(concurrence_batch(rho.matrix))
 
 
-def one_tangle_batch(projectors, pivot: int = 0) -> np.ndarray:
-    """One-tangles 2*sqrt(det rho_pivot) of a (..., 8, 8) stack of validated pure-state projectors."""
-    if pivot not in (0, 1, 2):
-        raise ValueError(f"pivot must be 0, 1 or 2, got {pivot}")
-    m = partial_trace(projectors, 3, (pivot,))
+def one_tangle_batch(projectors) -> np.ndarray:
+    """One-tangles 2*sqrt(det rho_0) of qubit 0 of a (..., 8, 8) stack of validated pure-state projectors."""
+    m = partial_trace(projectors, (0,))
     a, b, c, d = m[..., 0, 0], m[..., 1, 1], m[..., 0, 1], m[..., 1, 0]
     # Re(a*b - c*d) in real arithmetic: numpy's complex array product may fuse
     # multiply-adds, the real ufuncs round each product once
@@ -177,37 +175,38 @@ def one_tangle_batch(projectors, pivot: int = 0) -> np.ndarray:
     return 2.0 * np.sqrt(det)
 
 
-def one_tangle(psi: PureState, pivot: int = 0) -> float:
-    """Entanglement 2*sqrt(det rho_pivot) between one qubit and the rest."""
+def one_tangle(psi: PureState) -> float:
+    """Entanglement 2*sqrt(det rho_0) between qubit 0 and the rest."""
     if psi.qubit_count != 3:
         raise ValueError(f"one_tangle expects 3 qubits, got {psi.qubit_count}")
-    return float(one_tangle_batch(projectors(psi.amplitudes), pivot))
+    return float(one_tangle_batch(projectors(psi.amplitudes)))
 
 
-def three_tangle_batch(projectors, pivot: int = 0):
+def three_tangle_batch(projectors):
     """Squared tangle components of a (..., 8, 8) stack of validated pure-state projectors.
 
     Returns the arrays ``(one_tangle_sq, c12_sq, c13_sq, three_tangle)``,
     each with the stack's leading shape; see :class:`TangleBreakdown`.
     """
-    others = [q for q in (0, 1, 2) if q != pivot]
-    ot = one_tangle_batch(projectors, pivot)
-    c_first = concurrence_batch(partial_trace(projectors, 3, tuple(sorted((pivot, others[0])))))
-    c_second = concurrence_batch(partial_trace(projectors, 3, tuple(sorted((pivot, others[1])))))
+    ot = one_tangle_batch(projectors)
+    c_first = concurrence_batch(partial_trace(projectors, (0, 1)))
+    c_second = concurrence_batch(partial_trace(projectors, (0, 2)))
     one_sq = ot * ot
     c12_sq = c_first * c_first
     c13_sq = c_second * c_second
     return one_sq, c12_sq, c13_sq, one_sq - c12_sq - c13_sq
 
 
-def three_tangle(psi: PureState, pivot: int = 0) -> TangleBreakdown:
+def three_tangle(psi: PureState) -> TangleBreakdown:
     """Residual tripartite entanglement of a pure three-qubit state.
 
-    Assembled as one_tangle**2 minus the squared concurrences of the two
-    pair reductions containing ``pivot``. Mixed states are out of scope (the
-    convex-roof extension is not implemented). The kernel reads the
-    projector of ``psi``, which its checked norm certifies.
+    Assembled as the squared one-tangle of qubit 0 minus the squared
+    concurrences of the pairs (0, 1) and (0, 2). Any other focus qubit gives
+    the same value (Coffman, Kundu & Wootters, PRA 61, 052306, 2000). Mixed
+    states are out of scope (the convex-roof extension is not implemented).
+    The kernel reads the projector of ``psi``, which its checked norm
+    certifies.
     """
     if psi.qubit_count != 3:
         raise ValueError(f"three_tangle expects 3 qubits, got {psi.qubit_count}")
-    return TangleBreakdown(*map(float, three_tangle_batch(projectors(psi.amplitudes), pivot)))
+    return TangleBreakdown(*map(float, three_tangle_batch(projectors(psi.amplitudes))))

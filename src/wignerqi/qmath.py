@@ -38,16 +38,14 @@ def _first(values, bad) -> float:
     return float(np.asarray(values)[bad][0])
 
 
-def partial_trace(rho, qubit_count: int, keep) -> np.ndarray:
+def partial_trace(rho, keep) -> np.ndarray:
     """Trace out every qubit not listed in ``keep``.
 
     Parameters
     ----------
     rho : array_like
-        Square matrix of dimension ``2**qubit_count``, or a stack of them
-        along leading axes.
-    qubit_count : int
-        Number of qubits the matrix acts on.
+        Square matrix of dimension ``2**n`` with ``n >= 1`` qubits, or a
+        stack of them along leading axes; ``n`` is read off the last axis.
     keep : sequence of int
         Strictly increasing, nonempty qubit indices to retain.
 
@@ -58,9 +56,10 @@ def partial_trace(rho, qubit_count: int, keep) -> np.ndarray:
         trace is preserved.
     """
     rho = np.asarray(rho, dtype=complex)
-    dim = 2 ** qubit_count
-    if rho.shape[-2:] != (dim, dim):
-        raise ValueError(f"expected {dim}x{dim} matrices for {qubit_count} qubits, got shape {rho.shape}")
+    dim = rho.shape[-1] if rho.ndim >= 2 else 0
+    if dim < 2 or rho.shape[-2] != dim or dim & (dim - 1):
+        raise ValueError(f"expected square 2**n x 2**n matrices with n >= 1, got shape {rho.shape}")
+    qubit_count = dim.bit_length() - 1
     keep = tuple(int(q) for q in keep)
     if not keep:
         raise ValueError("keep must name at least one qubit")
@@ -80,43 +79,35 @@ def partial_trace(rho, qubit_count: int, keep) -> np.ndarray:
     return work.reshape(lead + (out_dim, out_dim))
 
 
-def eig_hermitian(matrix, atol: float = HERMITIAN_ATOL):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
+def matrix_sqrt_psd(matrix) -> np.ndarray:
+    """Hermitian square root of a Hermitian positive-semidefinite matrix.
 
-    Returns ``(values, vectors)`` with real eigenvalues and the matching
-    eigenvectors as columns, so ``matrix == vectors @ diag(values) @ vectors.conj().T``
-    up to roundoff. Leading axes hold a stack of matrices, decomposed one by
-    one. Rejects input whose asymmetry exceeds ``atol``, naming the first
-    offending matrix's asymmetry.
+    Rejects a matrix whose asymmetry exceeds ``HERMITIAN_ATOL``. Eigenvalues
+    in ``(EIGENVALUE_FLOOR, 0)`` are treated as rounding noise and clamped to
+    zero; anything below the floor raises ``NumericValidationError``. Leading
+    axes hold a stack of matrices, each given its own root; the error names
+    the first offending matrix's asymmetry or eigenvalue.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     asym = hermiticity_violation(m)
-    bad = asym > atol
+    bad = asym > HERMITIAN_ATOL
     if bad.any():
         raise NumericValidationError(
-            f"matrix is not Hermitian: max asymmetry {_first(asym, bad):.3e} > {atol:.0e}"
+            f"matrix is not Hermitian: max asymmetry {_first(asym, bad):.3e} > {HERMITIAN_ATOL:.0e}"
         )
     values, vectors = np.linalg.eigh(m)
-    return values[..., ::-1].copy(), vectors[..., ::-1].copy()
-
-
-def matrix_sqrt_psd(matrix) -> np.ndarray:
-    """Hermitian square root of a Hermitian positive-semidefinite matrix.
-
-    Eigenvalues in ``(EIGENVALUE_FLOOR, 0)`` are treated as rounding noise and
-    clamped to zero; anything below the floor raises ``NumericValidationError``.
-    Leading axes hold a stack of matrices, each given its own root.
-    """
-    values, vectors = eig_hermitian(matrix)
-    smallest = values[..., -1]
+    smallest = values[..., 0]
     bad = smallest < EIGENVALUE_FLOOR
     if bad.any():
         raise NumericValidationError(
             f"matrix is not PSD: eigenvalue {_first(smallest, bad):.3e} below {EIGENVALUE_FLOOR:.0e}"
         )
-    values = np.clip(values, 0.0, None)
+    # eigh sorts ascending; the root sums its terms in descending order, and
+    # ascending order would change the roundoff of the traced concurrences
+    values = np.clip(values[..., ::-1], 0.0, None)
+    vectors = vectors[..., ::-1]
     root = (vectors * np.sqrt(values)[..., None, :]) @ vectors.conj().mT
     # symmetrize away roundoff so the result is Hermitian to machine precision
     return 0.5 * (root + root.conj().mT)

@@ -189,4 +189,4 @@ def to_density(psi: PureState) -> DensityOperator:
 
 def reduced(rho: DensityOperator, keep) -> DensityOperator:
     """Partial trace of a density operator down to the qubits in ``keep``."""
-    return DensityOperator(partial_trace(rho.matrix, rho.qubit_count, keep))
+    return DensityOperator(partial_trace(rho.matrix, keep))

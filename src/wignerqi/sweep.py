@@ -159,8 +159,8 @@ class MeasureRecord:
 
 
 def parse_tie(text: str) -> tuple[str, str]:
-    """Parse 'follower=leader' into an axis pair."""
-    parts = text.split("=")
+    """Parse 'follower=leader' into an axis pair; anything else raises ``ValueError``."""
+    parts = text.split("=") if isinstance(text, str) else []
     if len(parts) != 2 or parts[0] not in AXES or parts[1] not in AXES:
         raise ValueError(f"malformed tie {text!r} (expected e.g. omega2=omega1)")
     follower, leader = parts
@@ -173,7 +173,7 @@ def _resolve_ties(ties) -> dict[str, str]:
     """Map each tied axis to the free axis it ends up copying."""
     tie_map: dict[str, str] = {}
     for tie in ties:
-        follower, leader = parse_tie(tie if isinstance(tie, str) else "=".join(tie))
+        follower, leader = parse_tie(tie)
         if follower in tie_map:
             raise ValueError(f"axis {follower!r} is tied twice")
         tie_map[follower] = leader
@@ -204,7 +204,7 @@ class _Plan(NamedTuple):
 
 
 def _plan(
-    state, measures, *, mode="pure", alpha=0.0, omega1=0.0, omega2=0.0, omega3=0.0, ties=(), convention="opposite"
+    state, measures, *, mode="pure", alpha=0.0, omega1=None, omega2=None, omega3=None, ties=(), convention="opposite"
 ) -> _Plan:
     if state not in STATE_TAGS:
         raise ValueError(f"unknown state {state!r}; expected one of {STATE_TAGS}")
@@ -228,7 +228,12 @@ def _plan(
 
     roots = _resolve_ties(ties)
     specs = dict(zip(AXES, (omega1, omega2, omega3)))
-    free_axes = [axis for axis in AXES if axis not in roots]
+    for follower, leader in roots.items():
+        if specs[follower] is not None:
+            raise ValueError(f"axis {follower} is tied to {leader}; give it no grid or angle")
+    # a free axis left None is the fixed angle 0
+    specs = {axis: 0.0 if spec is None else spec for axis, spec in specs.items() if axis not in roots}
+    free_axes = list(specs)
     shape = tuple(int(specs[axis].count) if isinstance(specs[axis], SweepGrid) else 1 for axis in free_axes)
     rows = math.prod(shape) * len(measures)
     if rows > MAX_SWEEP_ROWS:
@@ -248,8 +253,8 @@ def _column(measure: str, rho) -> np.ndarray:
     if measure == "three_tangle":
         return three_tangle_batch(rho)[3]
     if measure in _PAIRS:
-        return concurrence_batch(partial_trace(rho, 3, _PAIRS[measure]))
-    return von_neumann_entropy_batch(partial_trace(rho, 3, (0,)))  # entropy_a
+        return concurrence_batch(partial_trace(rho, _PAIRS[measure]))
+    return von_neumann_entropy_batch(partial_trace(rho, (0,)))  # entropy_a
 
 
 def _chunks(plan: _Plan):
@@ -296,14 +301,15 @@ def run_sweep(state: str, measures, **options) -> list[MeasureRecord]:
     """Evaluate measures over an angle grid and return records in grid order.
 
     The options and their defaults are ``mode="pure"``, ``alpha=0.0``,
-    ``omega1=omega2=omega3=0.0``, ``ties=()`` and ``convention="opposite"``.
-    Each of ``omega1``..``omega3`` is either a fixed angle in radians or a
-    :class:`SweepGrid`; axes named as tie followers take their leader's
-    current value instead. Free axes iterate row-major with omega1 outermost.
-    In ``traced`` mode the state is sent through the momentum-superposed
-    channel at weight ``alpha`` before measuring; the pure mode refuses a
-    nonzero ``alpha``, and ``three_tangle`` is only defined for the pure
-    mode. Each measure may be named once, and sweeps of
+    ``omega1=omega2=omega3=None``, ``ties=()`` and ``convention="opposite"``.
+    Each axis is a fixed angle in radians, a :class:`SweepGrid`, or ``None``
+    (the fixed angle 0). ``ties`` holds ``"follower=leader"`` strings such as
+    ``"omega2=omega1"``; a follower copies its leader's current value, so a
+    value given for it raises ``ValueError``. Free axes iterate row-major
+    with omega1 outermost. In ``traced`` mode the state is sent through the
+    momentum-superposed channel at weight ``alpha`` before measuring; the
+    pure mode refuses a nonzero ``alpha``, and ``three_tangle`` is only
+    defined for the pure mode. Each measure may be named once, and sweeps of
     more than ``MAX_SWEEP_ROWS`` rows (grid points x measures) are refused
     with ``ValueError`` before anything is allocated.
     """

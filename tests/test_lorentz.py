@@ -21,6 +21,7 @@ from wignerqi.measures import concurrence
 from wignerqi.oracle import ghz_coefficients, w_coefficients
 from wignerqi.qmath import partial_trace
 from wignerqi.states import STATE_TAGS, PureState, make_state, reduced, to_density, validate_density
+from wignerqi.sweep import AXES, MEASURE_IDS, MODES, run_sweep
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -112,8 +113,8 @@ class TestProductTransform:
             for _ in range(10):
                 out = to_density(product_transform(make_state(tag), random_angles(rng))).matrix
                 for keep in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
-                    ref = np.sort(np.linalg.eigvalsh(partial_trace(base, 3, keep)))
-                    got = np.sort(np.linalg.eigvalsh(partial_trace(out, 3, keep)))
+                    ref = np.sort(np.linalg.eigvalsh(partial_trace(base, keep)))
+                    got = np.sort(np.linalg.eigvalsh(partial_trace(out, keep)))
                     np.testing.assert_allclose(got, ref, atol=1e-9)
 
 
@@ -287,6 +288,8 @@ SWAP_01 = np.eye(8)[[0, 1, 4, 5, 2, 3, 6, 7]]  # exchanges qubits 0 and 1
 # values); the matrix identities hold to a few eps.
 MATRIX_ATOL = 1e-14
 CONCURRENCE_ATOL = 1e-6
+# Spectra and every other measure value, a few eps at most.
+VALUE_ATOL = 1e-12
 alphas_st = st.floats(min_value=-math.pi, max_value=math.pi)
 triples_st = st.tuples(angles_st, angles_st, angles_st)
 
@@ -340,3 +343,43 @@ class TestTracedChannelIdentities:
         rho = momentum_traced_channel(psi, angles, MomentumConfig(alpha, "same"))
         pure = to_density(product_transform(psi, angles))
         np.testing.assert_allclose(rho.matrix, pure.matrix, rtol=0, atol=MATRIX_ATOL)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        state=st.sampled_from(STATE_TAGS),
+        alpha=alphas_st,
+        convention=st.sampled_from(BRANCH_CONVENTIONS),
+        angles=triples_st,
+    )
+    def test_rank_two_spectrum(self, state, alpha, convention, angles):
+        # rho = w_f |f><f| + w_r |r><r| has the two nonzero eigenvalues
+        # (1 +- sqrt(1 - 4 w_f w_r (1 - |<f|r>|^2))) / 2, and the rest are 0
+        psi = make_state(state)
+        rho = momentum_traced_channel(psi, angles, MomentumConfig(alpha, convention))
+        f = product_transform(psi, angles).amplitudes
+        r = product_transform(psi, [-omega for omega in angles] if convention == "opposite" else angles).amplitudes
+        w_f, w_r = math.cos(alpha) ** 2, math.sin(alpha) ** 2
+        root = math.sqrt(max(0.0, 1.0 - 4.0 * w_f * w_r * (1.0 - abs(np.vdot(f, r)) ** 2)))
+        expected = [0.0] * 6 + [(1.0 - root) / 2, (1.0 + root) / 2]
+        np.testing.assert_allclose(np.linalg.eigvalsh(rho.matrix), expected, rtol=0, atol=VALUE_ATOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        state=st.sampled_from(STATE_TAGS),
+        mode=st.sampled_from(MODES),
+        alpha=alphas_st,
+        convention=st.sampled_from(BRANCH_CONVENTIONS),
+        angles=triples_st,
+        axis=st.sampled_from(AXES),
+    )
+    def test_two_pi_periodicity(self, state, mode, alpha, convention, angles, axis):
+        # D(omega + 2pi) = -D(omega) flips only the sign of a branch, which no
+        # measure sees
+        options = dict(mode=mode, alpha=alpha if mode == "traced" else 0.0, convention=convention)
+        measures = [m for m in MEASURE_IDS if mode == "pure" or m != "three_tangle"]
+        base = dict(zip(AXES, angles))
+        shifted = {**base, axis: base[axis] + 2 * math.pi}
+        records = run_sweep(state, measures, **base, **options)
+        for a, b in zip(records, run_sweep(state, measures, **shifted, **options)):
+            atol = CONCURRENCE_ATOL if a.measure.startswith("concurrence") else VALUE_ATOL
+            assert b.value == pytest.approx(a.value, rel=0, abs=atol), a.measure

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -19,7 +20,7 @@ from wignerqi.measures import (
     von_neumann_entropy,
 )
 from wignerqi.oracle import haar_random_state, oracle_concurrence_pure, oracle_three_tangle
-from wignerqi.states import DensityOperator, PureState, make_state, reduced, to_density
+from wignerqi.states import STATE_TAGS, DensityOperator, PureState, make_state, reduced, to_density
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -236,11 +237,16 @@ class TestTangle:
         assert breakdown.three_tangle == pytest.approx(0.0, abs=1e-8)
         assert oracle_three_tangle(make_state("w")) == pytest.approx(0.0, abs=1e-8)
 
-    def test_pivot_immaterial_for_symmetric_states(self):
-        for tag in ("ghz_plus", "ghz_minus", "w", "w_prime"):
-            psi = make_state(tag)
-            values = [three_tangle(psi, pivot).three_tangle for pivot in (0, 1, 2)]
+    def test_invariant_under_qubit_permutations(self, rng):
+        # The kernel focuses on qubit 0; relabelling the qubits moves every
+        # qubit into that place, on states that are not symmetric too.
+        for psi in [make_state(tag) for tag in STATE_TAGS] + [haar_random_state(3, rng) for _ in range(20)]:
+            cube = psi.amplitudes.reshape(2, 2, 2)
+            permuted = [PureState(cube.transpose(order).reshape(8)) for order in itertools.permutations(range(3))]
+            values = [three_tangle(p).three_tangle for p in permuted]
             assert max(values) - min(values) < 1e-9
+            for p, value in zip(permuted, values):
+                assert abs(value - oracle_three_tangle(p)) < 1e-9
 
     def test_angle_independent_under_pure_transform(self, rng):
         for tag in ("ghz_plus", "w"):

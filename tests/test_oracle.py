@@ -87,7 +87,7 @@ class TestOraclePartialTrace:
             rho = random_density(rng, n)
             for keep in keeps[n]:
                 slow = oracle_partial_trace(rho, keep).matrix
-                fast = partial_trace(rho.matrix, n, keep)
+                fast = partial_trace(rho.matrix, keep)
                 np.testing.assert_allclose(slow, fast, atol=1e-12)
                 comparisons += 1
 

@@ -3,13 +3,9 @@ import pytest
 
 from wignerqi.qmath import (
     NumericValidationError,
-    eig_hermitian,
     matrix_sqrt_psd,
     partial_trace,
 )
-from wignerqi.lorentz import wigner_unitary
-
-I2 = np.eye(2)
 
 
 def random_hermitian(rng, dim):
@@ -21,13 +17,13 @@ class TestPartialTrace:
     def test_product_state(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        np.testing.assert_allclose(partial_trace(rho, 2, (0,)), np.diag([1.0, 0.0]), atol=1e-15)
+        np.testing.assert_allclose(partial_trace(rho, (0,)), np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_ghz_pair_reduction(self):
         amps = np.zeros(8)
         amps[0] = amps[7] = 1 / np.sqrt(2)
         rho = np.outer(amps, amps)
-        np.testing.assert_allclose(partial_trace(rho, 3, (0, 1)), np.diag([0.5, 0, 0, 0.5]), atol=1e-12)
+        np.testing.assert_allclose(partial_trace(rho, (0, 1)), np.diag([0.5, 0, 0, 0.5]), atol=1e-12)
 
     def test_w_single_qubit_reduction(self):
         # (|100>+|010>+|001>)/sqrt(3): qubit 0 is |1> in one branch of three,
@@ -35,7 +31,7 @@ class TestPartialTrace:
         amps = np.zeros(8)
         amps[4] = amps[2] = amps[1] = 1 / np.sqrt(3)
         rho = np.outer(amps, amps)
-        np.testing.assert_allclose(partial_trace(rho, 3, (0,)), np.diag([2 / 3, 1 / 3]), atol=1e-12)
+        np.testing.assert_allclose(partial_trace(rho, (0,)), np.diag([2 / 3, 1 / 3]), atol=1e-12)
 
     def test_trace_preserved(self, rng):
         for _ in range(10):
@@ -43,7 +39,7 @@ class TestPartialTrace:
             rho = m @ m.conj().T
             rho /= np.trace(rho)
             for keep in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
-                red = partial_trace(rho, 3, keep)
+                red = partial_trace(rho, keep)
                 assert abs(np.trace(red) - 1.0) < 1e-12
 
     def test_commutes_with_convex_mixing(self, rng):
@@ -54,15 +50,20 @@ class TestPartialTrace:
 
         a, b = random_density(8), random_density(8)
         lam = 0.3
-        mixed = partial_trace(lam * a + (1 - lam) * b, 3, (0, 2))
-        parts = lam * partial_trace(a, 3, (0, 2)) + (1 - lam) * partial_trace(b, 3, (0, 2))
+        mixed = partial_trace(lam * a + (1 - lam) * b, (0, 2))
+        parts = lam * partial_trace(a, (0, 2)) + (1 - lam) * partial_trace(b, (0, 2))
         np.testing.assert_allclose(mixed, parts, atol=1e-12)
 
     @pytest.mark.parametrize("keep", [(), (3,), (-1,), (1, 0), (0, 0)])
     def test_rejects_bad_keep(self, keep):
         rho = np.eye(8) / 8
         with pytest.raises(ValueError):
-            partial_trace(rho, 3, keep)
+            partial_trace(rho, keep)
+        # the qubit count is read off the last axis, so an input that is not
+        # a square 2**n x 2**n matrix (n >= 1) is refused whatever keep names
+        for bad in (np.eye(6) / 6, np.ones((8, 4)), np.ones(8), np.ones((1, 1))):
+            with pytest.raises(ValueError, match="2\\*\\*n"):
+                partial_trace(bad, keep)
 
 
 class TestStacks:
@@ -70,11 +71,7 @@ class TestStacks:
 
     def test_stack_equals_per_matrix_calls(self, rng):
         stack = np.array([random_hermitian(rng, 8) for _ in range(6)])
-        np.testing.assert_array_equal(partial_trace(stack, 3, (0, 2)), [partial_trace(m, 3, (0, 2)) for m in stack])
-        values, vectors = eig_hermitian(stack)
-        singles = [eig_hermitian(m) for m in stack]
-        np.testing.assert_array_equal(values, [v for v, _ in singles])
-        np.testing.assert_array_equal(vectors, [u for _, u in singles])
+        np.testing.assert_array_equal(partial_trace(stack, (0, 2)), [partial_trace(m, (0, 2)) for m in stack])
         psd = stack @ stack.conj().mT
         np.testing.assert_array_equal(matrix_sqrt_psd(psd), [matrix_sqrt_psd(m) for m in psd])
 
@@ -84,42 +81,7 @@ class TestStacks:
             matrix_sqrt_psd(stack)
         stack = np.array([np.eye(2), np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
         with pytest.raises(NumericValidationError, match="asymmetry 1.000e\\+00"):
-            eig_hermitian(stack)
-
-
-class TestEigHermitian:
-    def test_identity(self):
-        values, _ = eig_hermitian(I2)
-        np.testing.assert_allclose(values, [1.0, 1.0], atol=1e-15)
-
-    def test_already_diagonal(self):
-        values, _ = eig_hermitian(np.diag([0.5, 0.0, 0.0, 0.5]))
-        np.testing.assert_allclose(values, [0.5, 0.5, 0.0, 0.0], atol=1e-15)
-
-    def test_pauli_x_spectrum(self):
-        values, _ = eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(values, [1.0, -1.0], atol=1e-15)
-
-    def test_descending_and_reconstructs(self, rng):
-        for dim in (2, 4, 8):
-            m = random_hermitian(rng, dim)
-            values, vectors = eig_hermitian(m)
-            assert all(x >= y for x, y in zip(values, values[1:]))
-            rebuilt = (vectors * values) @ vectors.conj().T
-            assert np.max(np.abs(m - rebuilt)) < 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NumericValidationError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_spectrum_invariant_under_rotation_conjugation(self, rng):
-        for _ in range(10):
-            m = random_hermitian(rng, 8)
-            d1, d2, d3 = (wigner_unitary(o) for o in rng.uniform(0, 2 * np.pi, 3))
-            u = np.kron(np.kron(d1, d2), d3)
-            base, _ = eig_hermitian(m)
-            conj, _ = eig_hermitian(u @ m @ u.conj().T)
-            np.testing.assert_allclose(base, conj, atol=1e-9)
+            matrix_sqrt_psd(stack)
 
 
 class TestMatrixSqrtPsd:

@@ -102,7 +102,7 @@ class TestGrid:
 
     def test_parse_tie(self):
         assert parse_tie("omega2=omega1") == ("omega2", "omega1")
-        for bad in ("omega2", "omega2=omega2", "omega2=theta", "a=b=c"):
+        for bad in ("omega2", "omega2=omega2", "omega2=theta", "a=b=c", ("omega2", "omega1"), None):
             with pytest.raises(ValueError):
                 parse_tie(bad)
 
@@ -244,6 +244,8 @@ class TestRunSweep:
             run_sweep("w", ["entropy_a"], ties=("omega2=omega1", "omega2=omega3"))
         with pytest.raises(ValueError, match="cycle"):
             run_sweep("w", ["entropy_a"], ties=("omega2=omega1", "omega1=omega2"))
+        with pytest.raises(ValueError, match="malformed tie"):
+            run_sweep("w", ["entropy_a"], ties=[("omega2", "omega1")])
         with pytest.raises(ValueError, match="at least one measure"):
             run_sweep("w", [])
         with pytest.raises(ValueError, match="no effect in pure mode"):
@@ -251,6 +253,18 @@ class TestRunSweep:
         for mode in sweep.MODES:
             with pytest.raises(ValueError, match="unknown branch convention"):
                 run_sweep("w", ["fidelity_w"], mode=mode, convention="sideways", omega1=0.3)
+
+    def test_rejects_a_value_on_a_tied_axis(self, tmp_path):
+        # a tied axis copies its leader, so a grid or angle given for it would be dropped
+        out = tmp_path / "tied.csv"
+        for ties, axis in ((["omega2=omega1"], "omega2"), (["omega2=omega1", "omega3=omega2"], "omega3")):
+            for value in (SweepGrid(0.0, 3.0, 7), 0.4, 0.0):
+                kwargs = {"omega1": SweepGrid(0.0, 1.0, 2), axis: value, "ties": ties}
+                with pytest.raises(ValueError, match=f"axis {axis} is tied"):
+                    run_sweep("w", ["fidelity_w"], **kwargs)
+                with pytest.raises(ValueError, match=f"axis {axis} is tied"):
+                    sweep.write_sweep(out, "w", ["fidelity_w"], **kwargs)
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_duplicate_measures(self):
         with pytest.raises(ValueError, match="duplicate measure"):
