@@ -22,8 +22,8 @@ import numpy as np
 from .qmath import matrix_sqrt_psd, partial_trace
 from .states import DensityOperator, PureState, projectors
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
+# sigma_y x sigma_y is anti-diagonal: rho_tilde is rho* reversed on both axes, signed by this table
+_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 # Relative zero floor of the concurrence spectrum (see concurrence_batch).
 _SPECTRUM_FLOOR = 128.0 * np.finfo(float).eps
 
@@ -145,7 +145,7 @@ def concurrence_batch(pairs) -> np.ndarray:
     those of rho @ rho_tilde, where rho_tilde is the spin-flipped state
     (sigma_y x sigma_y) rho* (sigma_y x sigma_y).
     """
-    rho_tilde = _SPIN_FLIP @ pairs.conj() @ _SPIN_FLIP
+    rho_tilde = _FLIP_SIGNS * pairs.conj()[..., ::-1, ::-1]
     root = matrix_sqrt_psd(pairs)
     inner = root @ rho_tilde @ root
     mu = np.linalg.eigvalsh(0.5 * (inner + inner.conj().mT))

@@ -45,6 +45,31 @@ def oracle_transform(psi: PureState, angles) -> PureState:
     return PureState(out)
 
 
+def oracle_traced_channel(psi: PureState, angles, alpha: float, convention: str) -> DensityOperator:
+    """Momentum-traced channel cos(alpha)**2 |f><f| + sin(alpha)**2 |r><r|, entry by entry.
+
+    |f> is ``psi`` boosted at ``angles`` and |r> at their negatives under the
+    ``"opposite"`` convention, or at the same angles under ``"same"``; each
+    branch is an :func:`oracle_transform`.
+    """
+    omegas = [float(o) for o in angles]
+    if convention == "opposite":
+        reversed_omegas = [-o for o in omegas]
+    elif convention == "same":
+        reversed_omegas = omegas
+    else:
+        raise ValueError(f"unknown branch convention {convention!r}")
+    f = oracle_transform(psi, omegas).amplitudes
+    r = oracle_transform(psi, reversed_omegas).amplitudes
+    w_f = math.cos(alpha) ** 2
+    w_r = math.sin(alpha) ** 2
+    out = np.zeros((8, 8), dtype=complex)
+    for i in range(8):
+        for j in range(8):
+            out[i, j] = w_f * f[i] * f[j].conjugate() + w_r * r[i] * r[j].conjugate()
+    return DensityOperator(out)
+
+
 def _half_trig(angles):
     # c1, s1, c2, s2, c3, s3: the cos and sin entries of each qubit's rotation
     o1, o2, o3 = (float(o) for o in angles)

@@ -60,23 +60,25 @@ def partial_trace(rho, keep) -> np.ndarray:
     if dim < 2 or rho.shape[-2] != dim or dim & (dim - 1):
         raise ValueError(f"expected square 2**n x 2**n matrices with n >= 1, got shape {rho.shape}")
     qubit_count = dim.bit_length() - 1
-    keep = tuple(int(q) for q in keep)
-    if not keep:
-        raise ValueError("keep must name at least one qubit")
-    if any(q < 0 or q >= qubit_count for q in keep):
-        raise ValueError(f"keep indices {keep} out of range for {qubit_count} qubits")
-    if any(b <= a for a, b in zip(keep, keep[1:])):
-        raise ValueError(f"keep indices must be strictly increasing, got {keep}")
+    given = keep
+    try:
+        keep = tuple(keep)
+    except TypeError:
+        keep = ()
+    if not keep or not all(isinstance(q, (int, np.integer)) and type(q) is not bool for q in keep):
+        raise ValueError(f"keep must be a nonempty sequence of int qubit indices, got {given!r}")
+    if keep[0] < 0 or keep[-1] >= qubit_count or any(b <= a for a, b in zip(keep, keep[1:])):
+        raise ValueError(f"keep must be strictly increasing qubit indices below {qubit_count}, got {keep}")
 
     lead = rho.shape[:-2]
-    work = rho.reshape(lead + (2,) * (2 * qubit_count))
-    remaining = qubit_count
-    # Tracing from the highest qubit down keeps lower row axes in place.
-    for q in sorted(set(range(qubit_count)) - set(keep), reverse=True):
-        work = np.trace(work, axis1=len(lead) + q, axis2=len(lead) + q + remaining)
-        remaining -= 1
-    out_dim = 2 ** len(keep)
-    return work.reshape(lead + (out_dim, out_dim))
+    # From the highest qubit down, add two strided views per traced qubit in np.trace's
+    # order; np.trace adds onto 0.0, and the last + 0.0 gives its +0.0 for a -0.0 total.
+    for q in [q for q in range(qubit_count - 1, -1, -1) if q not in keep]:
+        below = dim // 2 ** (q + 1)
+        w = rho.reshape(lead + (2**q, 2, below, 2**q, 2, below))
+        rho = w[..., 0, :, :, 0, :] + w[..., 1, :, :, 1, :]
+        dim //= 2
+    return rho if len(keep) == qubit_count else (rho + 0.0).reshape(lead + (dim, dim))
 
 
 def matrix_sqrt_psd(matrix) -> np.ndarray:

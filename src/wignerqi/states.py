@@ -104,11 +104,14 @@ class DensityDiagnostics:
         )
 
     def describe(self) -> str:
-        return (
-            f"hermiticity violation {self.hermiticity_violation:.3e}, "
-            f"trace deviation {self.trace_deviation:.3e}, "
-            f"min eigenvalue {self.min_eigenvalue:.3e}"
+        """The three fields as text; for a stack, the worst value of each and the stack size."""
+        trace = np.ravel(self.trace_deviation)
+        text = (
+            f"hermiticity violation {np.max(self.hermiticity_violation):.3e}, "
+            f"trace deviation {trace[np.abs(trace).argmax()]:.3e}, "
+            f"min eigenvalue {np.min(self.min_eigenvalue):.3e}"
         )
+        return text if np.ndim(self.trace_deviation) == 0 else f"worst of {trace.size} matrices: {text}"
 
 
 def validate_density(matrix) -> DensityDiagnostics:

@@ -11,6 +11,7 @@ from wignerqi.measures import (
     average_capacity,
     clamp_capacity_batch,
     concurrence,
+    concurrence_batch,
     fidelity_pure,
     fidelity_pure_batch,
     fidelity_vs_target,
@@ -20,6 +21,7 @@ from wignerqi.measures import (
     von_neumann_entropy,
 )
 from wignerqi.oracle import haar_random_state, oracle_concurrence_pure, oracle_three_tangle
+from wignerqi.qmath import matrix_sqrt_psd
 from wignerqi.states import STATE_TAGS, DensityOperator, PureState, make_state, reduced, to_density
 
 SQ2 = 1 / np.sqrt(2)
@@ -211,6 +213,29 @@ class TestConcurrence:
             assert concurrence(to_density(psi)) == pytest.approx(
                 oracle_concurrence_pure(psi), abs=1e-10
             )
+
+
+    def test_equal_to_the_matmul_spin_flip(self, rng):
+        # concurrence_batch with rho_tilde = (sigma_y x sigma_y) rho* (sigma_y x sigma_y)
+        # formed by two matrix products, as the kernel once built it
+        sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+        flip = np.kron(sigma_y, sigma_y)
+
+        def matmul_concurrences(pairs):
+            root = matrix_sqrt_psd(pairs)
+            inner = root @ (flip @ pairs.conj() @ flip) @ root
+            mu = np.linalg.eigvalsh(0.5 * (inner + inner.conj().mT))
+            floor = np.maximum(mu[..., -1:], 0.0) * 128.0 * np.finfo(float).eps
+            lam = np.sqrt(np.where(mu > floor, mu, 0.0))
+            return np.maximum(0.0, 2.0 * lam.max(axis=-1) - lam.sum(axis=-1))
+
+        for rank in (1, 2, 4):
+            factors = rng.standard_normal((300, 4, rank)) + 1j * rng.standard_normal((300, 4, rank))
+            pairs = factors @ factors.conj().mT
+            pairs /= np.trace(pairs, axis1=-2, axis2=-1).real[:, None, None]
+            values = concurrence_batch(pairs)
+            assert np.count_nonzero(values) > 50
+            np.testing.assert_array_equal(values, matmul_concurrences(pairs))
 
 
 class TestTangle:

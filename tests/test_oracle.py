@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
 
-from wignerqi.lorentz import WignerAngles, product_transform
+from wignerqi.lorentz import (
+    BRANCH_CONVENTIONS,
+    MomentumConfig,
+    WignerAngles,
+    momentum_traced_channel,
+    product_transform,
+)
 from wignerqi.oracle import (
     haar_random_state,
     oracle_partial_trace,
     oracle_three_tangle,
+    oracle_traced_channel,
     oracle_transform,
 )
 from wignerqi.qmath import partial_trace
-from wignerqi.states import DensityOperator, PureState, make_state, to_density
+from wignerqi.states import STATE_TAGS, DensityOperator, PureState, make_state, to_density
 
 
 def random_density(rng, qubit_count):
@@ -90,6 +97,31 @@ class TestOraclePartialTrace:
                 fast = partial_trace(rho.matrix, keep)
                 np.testing.assert_allclose(slow, fast, atol=1e-12)
                 comparisons += 1
+
+
+class TestOracleTracedChannel:
+    @pytest.mark.parametrize("convention", BRANCH_CONVENTIONS)
+    @pytest.mark.parametrize("tag", STATE_TAGS)
+    def test_fast_channel_matches_entrywise(self, rng, tag, convention):
+        psi = make_state(tag)
+        for _ in range(50):
+            alpha = rng.uniform(-np.pi, np.pi)
+            angles = rng.uniform(-4 * np.pi, 4 * np.pi, 3)
+            fast = momentum_traced_channel(psi, angles, MomentumConfig(alpha, convention)).matrix
+            slow = oracle_traced_channel(psi, angles, alpha, convention).matrix
+            np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+
+    def test_branch_weights_and_conventions(self):
+        psi = make_state("w")
+        angles = (0.4, -1.3, 2.2)
+        forward = to_density(oracle_transform(psi, angles)).matrix
+        backward = to_density(oracle_transform(psi, (-0.4, 1.3, -2.2))).matrix
+        cases = ((0.0, "opposite", forward), (np.pi / 2, "opposite", backward), (0.7, "same", forward))
+        for alpha, convention, expected in cases:
+            channel = oracle_traced_channel(psi, angles, alpha, convention).matrix
+            np.testing.assert_allclose(channel, expected, atol=1e-15)
+        with pytest.raises(ValueError, match="convention"):
+            oracle_traced_channel(psi, angles, 0.7, "momentum_traced")
 
 
 class TestOracleThreeTangle:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,26 @@ from wignerqi.qmath import (
 def random_hermitian(rng, dim):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (m + m.conj().T)
+
+
+def np_trace_reference(rho, keep):
+    # np.trace over each traced qubit's row and column axes, highest qubit first
+    qubit_count = rho.shape[-1].bit_length() - 1
+    lead = rho.shape[:-2]
+    work = rho.reshape(lead + (2,) * (2 * qubit_count))
+    remaining = qubit_count
+    for q in sorted(set(range(qubit_count)) - set(keep), reverse=True):
+        work = np.trace(work, axis1=len(lead) + q, axis2=len(lead) + q + remaining)
+        remaining -= 1
+    return work.reshape(lead + (2 ** len(keep),) * 2)
+
+
+def zero_salted(rng, shape):
+    # complex normals with a third of the real and imaginary parts set to +0.0 or -0.0
+    parts = rng.standard_normal((2,) + shape)
+    zeros = rng.random(parts.shape) < 1 / 3
+    parts[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return parts[0] + 1j * parts[1]
 
 
 class TestPartialTrace:
@@ -54,7 +76,30 @@ class TestPartialTrace:
         parts = lam * partial_trace(a, (0, 2)) + (1 - lam) * partial_trace(b, (0, 2))
         np.testing.assert_allclose(mixed, parts, atol=1e-12)
 
-    @pytest.mark.parametrize("keep", [(), (3,), (-1,), (1, 0), (0, 0)])
+    def test_bit_for_bit_equal_to_np_trace(self, rng):
+        # np.trace adds each pair onto 0.0, so two -0.0 terms sum to +0.0; the
+        # signed zeros salted in make a plain x0 + x1 differ in the bits
+        for qubit_count in range(1, 5):
+            dim = 2**qubit_count
+            for lead in ((), (5,), (2, 3)):
+                rho = zero_salted(rng, lead + (dim, dim))
+                for size in range(1, qubit_count + 1):
+                    for keep in itertools.combinations(range(qubit_count), size):
+                        fast = partial_trace(rho, keep)
+                        assert fast.shape == lead + (2**size,) * 2
+                        np.testing.assert_array_equal(
+                            fast.view(np.uint64), np_trace_reference(rho, keep).view(np.uint64), err_msg=str(keep)
+                        )
+
+    def test_accepts_numpy_integer_indices(self, rng):
+        rho = random_hermitian(rng, 8)
+        expected = partial_trace(rho, (0, 2))
+        for keep in ([0, 2], (np.int64(0), np.int32(2)), np.array([0, 2]), range(0, 3, 2)):
+            np.testing.assert_array_equal(partial_trace(rho, keep), expected)
+
+    @pytest.mark.parametrize(
+        "keep", [(), (3,), (-1,), (1, 0), (0, 0), (0.5,), [1.9], "01", (True,), (np.True_,), 0, None, (0, "1")]
+    )
     def test_rejects_bad_keep(self, keep):
         rho = np.eye(8) / 8
         with pytest.raises(ValueError):

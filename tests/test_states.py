@@ -109,3 +109,25 @@ def test_reduced_wraps_partial_trace():
     pair = reduced(rho, (0, 1))
     assert pair.qubit_count == 2
     np.testing.assert_allclose(pair.matrix, np.diag([0.5, 0, 0, 0.5]), atol=1e-12)
+
+
+@pytest.mark.parametrize("keep", [(0.5,), [1.9], "01", (True,), 0])
+def test_reduced_rejects_keep_that_is_not_int_indices(keep):
+    with pytest.raises(ValueError, match="keep"):
+        reduced(to_density(make_state("w")), keep)
+
+
+def test_describe_reports_the_worst_of_a_stack():
+    stack = np.array([np.diag([0.25, 0.25, 0.25, 0.25])] * 4, dtype=complex)
+    stack[1] = np.diag([0.3, 0.3, 0.3, 0.05])  # trace deviation -0.05
+    stack[2] = np.diag([0.7, 0.2, 0.3, -0.2])  # trace deviation 0.0, eigenvalue -0.2
+    stack[3] = np.diag([0.5, 0.2, 0.2, 0.2])  # trace deviation 0.1
+    stack[0, 0, 1] = 1e-9  # asymmetry
+    assert validate_density(stack).describe() == (
+        "worst of 4 matrices: hermiticity violation 1.000e-09, trace deviation 1.000e-01, min eigenvalue -2.000e-01"
+    )
+    assert validate_density(stack.reshape(2, 2, 4, 4)).describe() == validate_density(stack).describe()
+    # a single matrix keeps the text that check_densities puts in its errors
+    assert validate_density(stack[3]).describe() == (
+        "hermiticity violation 0.000e+00, trace deviation 1.000e-01, min eigenvalue 2.000e-01"
+    )
