@@ -122,15 +122,6 @@ def product_transform(psi: PureState, angles) -> PureState:
     return PureState(product_transform_batch(psi.amplitudes, *rotations)[0])
 
 
-def _half_trig(angles):
-    o1, o2, o3 = _as_angles(angles)
-    return (
-        math.cos(0.5 * o1), math.sin(0.5 * o1),
-        math.cos(0.5 * o2), math.sin(0.5 * o2),
-        math.cos(0.5 * o3), math.sin(0.5 * o3),
-    )
-
-
 def w_variant_coefficients(angles) -> np.ndarray:
     """The erratic transcription of the boosted-w amplitude table, verbatim.
 
@@ -139,7 +130,9 @@ def w_variant_coefficients(angles) -> np.ndarray:
     :func:`audit_w_coefficient_table` can diff it against the direct
     transform; do not use it for physics.
     """
-    c1, s1, c2, s2, c3, s3 = _half_trig(angles)
+    u = wigner_unitaries(_as_angles(angles))
+    c1, c2, c3 = u[:, 0, 0].real.tolist()
+    s1, s2, s3 = u[:, 1, 0].real.tolist()
     r = 1.0 / math.sqrt(3.0)
     return np.array(
         [

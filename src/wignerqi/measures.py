@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import matrix_sqrt_psd, partial_trace
+from .qmath import NumericValidationError, matrix_sqrt_psd, partial_trace
 from .states import DensityOperator, PureState, projectors
 
 # sigma_y x sigma_y is anti-diagonal: rho_tilde is rho* reversed on both axes, signed by this table
@@ -93,13 +93,21 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 
 def clamp_capacity_batch(raw) -> np.ndarray:
-    """Raw pair capacities clamped to [0, 2], one ``CapacityClampWarning`` per clamped value."""
+    """Raw pair capacities clamped to [0, 2], one ``CapacityClampWarning`` per clamped value.
+
+    A non-finite capacity is a fault, not roundoff: ``NumericValidationError``
+    names the first one.
+    """
     # Subadditivity keeps the exact value in [0, 2]; only roundoff can leave it.
     raw = np.asarray(raw, dtype=float)
     inside = (raw >= 0.0) & (raw <= 2.0)
     if inside.all():
         return raw
-    for value in raw[~inside].tolist():
+    outside = raw[~inside]
+    finite = np.isfinite(outside)
+    if not finite.all():
+        raise NumericValidationError(f"pair capacity {float(outside[~finite][0])!r} is not finite")
+    for value in outside.tolist():
         warnings.warn(f"pair capacity {value!r} outside [0, 2], clamped", CapacityClampWarning)
     return np.where(inside, raw, np.clip(raw, 0.0, 2.0))
 

@@ -5,37 +5,18 @@ Qubit 0 is the leftmost tensor factor, so basis index ``i`` spells the bit
 string of ``i`` most-significant bit first. Intended for dimensions up to
 2**12; everything is dense and eager. Every routine also accepts a stack
 of matrices along leading axes and treats each matrix on its own; a single
-matrix is the stack with no leading axis.
+matrix is the stack with no leading axis. The routines check shapes and
+indices only: :mod:`wignerqi.states` holds every density tolerance and
+acceptance check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Largest asymmetry tolerated before a matrix stops counting as Hermitian.
-HERMITIAN_ATOL = 1e-10
-# Eigenvalues of nominally PSD matrices may round slightly negative; values
-# above this floor are clamped to zero, values below it are rejected.
-EIGENVALUE_FLOOR = -1e-10
-
 
 class NumericValidationError(ValueError):
     """A matrix or state violates a numeric invariant beyond tolerance."""
-
-
-def hermiticity_violation(matrix):
-    """Max entrywise deviation between a matrix and its conjugate transpose.
-
-    Leading axes hold a stack of matrices; the result then has one value per
-    matrix.
-    """
-    m = np.asarray(matrix)
-    return np.abs(m - m.conj().mT).max(axis=(-2, -1))
-
-
-def _first(values, bad) -> float:
-    # The value of the first flagged matrix of a stack, in row-major order.
-    return float(np.asarray(values)[bad][0])
 
 
 def partial_trace(rho, keep) -> np.ndarray:
@@ -84,28 +65,14 @@ def partial_trace(rho, keep) -> np.ndarray:
 def matrix_sqrt_psd(matrix) -> np.ndarray:
     """Hermitian square root of a Hermitian positive-semidefinite matrix.
 
-    Rejects a matrix whose asymmetry exceeds ``HERMITIAN_ATOL``. Eigenvalues
-    in ``(EIGENVALUE_FLOOR, 0)`` are treated as rounding noise and clamped to
-    zero; anything below the floor raises ``NumericValidationError``. Leading
-    axes hold a stack of matrices, each given its own root; the error names
-    the first offending matrix's asymmetry or eigenvalue.
+    Takes a validated or certified density stack (see :mod:`wignerqi.states`)
+    and checks only its shape; eigenvalues that round below zero are clamped
+    to zero. Leading axes hold a stack of matrices, each given its own root.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    asym = hermiticity_violation(m)
-    bad = asym > HERMITIAN_ATOL
-    if bad.any():
-        raise NumericValidationError(
-            f"matrix is not Hermitian: max asymmetry {_first(asym, bad):.3e} > {HERMITIAN_ATOL:.0e}"
-        )
     values, vectors = np.linalg.eigh(m)
-    smallest = values[..., 0]
-    bad = smallest < EIGENVALUE_FLOOR
-    if bad.any():
-        raise NumericValidationError(
-            f"matrix is not PSD: eigenvalue {_first(smallest, bad):.3e} below {EIGENVALUE_FLOOR:.0e}"
-        )
     # eigh sorts ascending; the root sums its terms in descending order, and
     # ascending order would change the roundoff of the traced concurrences
     values = np.clip(values[..., ::-1], 0.0, None)

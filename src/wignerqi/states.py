@@ -12,16 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import (
-    HERMITIAN_ATOL,
-    EIGENVALUE_FLOOR,
-    NumericValidationError,
-    hermiticity_violation,
-    partial_trace,
-)
+from .qmath import NumericValidationError, partial_trace
 
 NORM_ATOL = 1e-12
 TRACE_ATOL = 1e-10
+# Largest asymmetry tolerated before a matrix stops counting as Hermitian.
+HERMITIAN_ATOL = 1e-10
+# Eigenvalues of a density operator may round slightly negative; values below
+# this floor are rejected.
+EIGENVALUE_FLOOR = -1e-10
 
 # Registry of named initial states. |q0 q1 q2> maps to index 4*q0 + 2*q1 + q2.
 STATE_TAGS = ("ghz_plus", "ghz_minus", "w", "w_prime")
@@ -126,9 +125,10 @@ def validate_density(matrix) -> DensityDiagnostics:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    herm = hermiticity_violation(m)
+    adjoint = m.conj().mT
+    herm = np.abs(m - adjoint).max(axis=(-2, -1))
     trace_dev = (m.trace(axis1=-2, axis2=-1) - 1.0).real
-    hermitian_part = 0.5 * (m + m.conj().mT)
+    hermitian_part = 0.5 * (m + adjoint)
     min_eig = np.linalg.eigvalsh(hermitian_part)[..., 0]  # eigvalsh sorts ascending
     return DensityDiagnostics(herm, trace_dev, min_eig)
 

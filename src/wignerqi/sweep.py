@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .lorentz import (
-    BRANCH_CONVENTIONS,
     MomentumConfig,
     momentum_traced_channel_batch,
     product_transform_batch,
@@ -196,8 +195,7 @@ class _Plan(NamedTuple):
     state: str
     measures: tuple[str, ...]
     mode: str
-    alpha: float
-    convention: str
+    config: MomentumConfig  # alpha and branch convention, checked when planned
     shape: tuple[int, ...]  # grid size of each free axis, in AXES order
     grids: tuple[np.ndarray, ...]  # grid values of each free axis
     sources: tuple[int, int, int]  # the free axis that omega1..omega3 each read
@@ -210,8 +208,7 @@ def _plan(
         raise ValueError(f"unknown state {state!r}; expected one of {STATE_TAGS}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if convention not in BRANCH_CONVENTIONS:
-        raise ValueError(f"unknown branch convention {convention!r}; expected one of {BRANCH_CONVENTIONS}")
+    config = MomentumConfig(float(alpha), convention)
     if mode == "pure" and alpha != 0.0:
         raise ValueError(f"alpha {alpha!r} has no effect in pure mode; use the traced mode or alpha 0")
     measures = tuple(measures)
@@ -243,7 +240,7 @@ def _plan(
         for axis in free_axes
     )
     sources = tuple(free_axes.index(roots.get(axis, axis)) for axis in AXES)
-    return _Plan(state, measures, mode, float(alpha), convention, shape, grids, sources)
+    return _Plan(state, measures, mode, config, shape, grids, sources)
 
 
 def _column(measure: str, rho) -> np.ndarray:
@@ -274,10 +271,7 @@ def _chunks(plan: _Plan):
     psi0 = make_state(plan.state)
     targets = {m: make_state(_FIDELITY_TARGETS[m]).amplitudes for m in plan.measures if m in _FIDELITY_TARGETS}
     rotations = [wigner_unitaries(grid) for grid in plan.grids]
-    if plan.mode == "pure":
-        needs_rho = any(m not in targets for m in plan.measures)
-    else:
-        config = MomentumConfig(plan.alpha, plan.convention)
+    needs_rho = any(m not in targets for m in plan.measures)
     total = math.prod(plan.shape)
     for start in range(0, total, CHUNK_POINTS):
         indices = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, total)), plan.shape)
@@ -289,7 +283,7 @@ def _chunks(plan: _Plan):
             values = {m: fidelity_pure_batch(amps, t) for m, t in targets.items()}
             rho = projectors(amps) if needs_rho else None
         else:
-            rho = momentum_traced_channel_batch(psi0.amplitudes, point_rotations, config)
+            rho = momentum_traced_channel_batch(psi0.amplitudes, point_rotations, plan.config)
             values = {m: fidelity_vs_target_batch(rho, t) for m, t in targets.items()}
         for measure in plan.measures:
             if measure not in values:
@@ -309,9 +303,10 @@ def run_sweep(state: str, measures, **options) -> list[MeasureRecord]:
     with omega1 outermost. In ``traced`` mode the state is sent through the
     momentum-superposed channel at weight ``alpha`` before measuring; the
     pure mode refuses a nonzero ``alpha``, and ``three_tangle`` is only
-    defined for the pure mode. Each measure may be named once, and sweeps of
-    more than ``MAX_SWEEP_ROWS`` rows (grid points x measures) are refused
-    with ``ValueError`` before anything is allocated.
+    defined for the pure mode. Each measure may be named once, ``alpha``
+    must be finite, and sweeps of more than ``MAX_SWEEP_ROWS`` rows (grid
+    points x measures) are refused with ``ValueError`` before anything is
+    allocated.
     """
     plan = _plan(state, measures, **options)
     records = []
@@ -319,7 +314,7 @@ def run_sweep(state: str, measures, **options) -> list[MeasureRecord]:
         columns = [values[m] for m in plan.measures]
         for (o1, o2, o3), row in zip(angles.tolist(), zip(*columns)):
             records.extend(
-                MeasureRecord(plan.state, plan.alpha, o1, o2, o3, m, v) for m, v in zip(plan.measures, row)
+                MeasureRecord(plan.state, plan.config.alpha, o1, o2, o3, m, v) for m, v in zip(plan.measures, row)
             )
     return records
 
@@ -404,7 +399,7 @@ def _write_plans(sweeps, path_of) -> list[tuple[Path, int]]:
             for measure in plan.measures:
                 files.setdefault(path_of(measure + suffix), []).append(measure)
             texts = [np.array([_fmt(v) for v in grid], dtype=object) for grid in plan.grids]
-            head = f"{plan.state},{_fmt(plan.alpha)},"
+            head = f"{plan.state},{_fmt(plan.config.alpha)},"
             for indices, _, values in _chunks(plan):
                 o1, o2, o3 = (texts[s][indices[s]] for s in plan.sources)
                 for path, measures in files.items():

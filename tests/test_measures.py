@@ -21,7 +21,7 @@ from wignerqi.measures import (
     von_neumann_entropy,
 )
 from wignerqi.oracle import haar_random_state, oracle_concurrence_pure, oracle_three_tangle
-from wignerqi.qmath import matrix_sqrt_psd
+from wignerqi.qmath import NumericValidationError, matrix_sqrt_psd
 from wignerqi.states import STATE_TAGS, DensityOperator, PureState, make_state, reduced, to_density
 
 SQ2 = 1 / np.sqrt(2)
@@ -169,6 +169,10 @@ class TestCapacity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pair_capacity(to_density(bell_pair()))  # no warning at the exact ceiling
+            # a non-finite capacity is a fault, not roundoff: refused, neither clamped nor warned
+            for raw, first in (([np.nan, 2.5], "nan"), ([1.5, np.inf], "inf"), ([-1e-3, -np.inf, np.nan], "-inf")):
+                with pytest.raises(NumericValidationError, match=f"pair capacity {first} is not finite"):
+                    clamp_capacity_batch(np.array(raw))
 
     def test_array_clamp_warns_once_per_clamped_value(self):
         raw = np.array([-1e-3, 1.5, 2.0 + 1e-3])

@@ -102,6 +102,16 @@ def test_density_operator_rejects_invalid():
         DensityOperator(np.diag([1.0, 1.0]))
     with pytest.raises(NumericValidationError):
         DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+    negative = np.diag([1.5, -0.5])  # trace one, not PSD
+    asymmetric = np.array([[0.5, 1.0], [0.0, 0.5]])  # trace one, asymmetry 1
+    with pytest.raises(NumericValidationError, match="min eigenvalue -5.000e-01"):
+        DensityOperator(negative)
+    with pytest.raises(NumericValidationError, match="hermiticity violation 1.000e\\+00"):
+        DensityOperator(asymmetric)
+    # a stack names its first failing matrix
+    for bad in (negative, asymmetric):
+        with pytest.raises(NumericValidationError, match="matrix 1 of the stack"):
+            check_densities(np.array([np.eye(2) / 2, bad, np.diag([1.25, -0.25])]))
 
 
 def test_reduced_wraps_partial_trace():

@@ -254,6 +254,15 @@ class TestRunSweep:
             with pytest.raises(ValueError, match="unknown branch convention"):
                 run_sweep("w", ["fidelity_w"], mode=mode, convention="sideways", omega1=0.3)
 
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_plan_rejects_a_non_finite_traced_alpha(self, tmp_path, alpha):
+        # refused while planning, before any chunk is evaluated or file staged
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            sweep._plan("w", ["entropy_a"], mode="traced", alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            sweep.write_sweep(tmp_path / "inf.csv", "w", ["entropy_a"], mode="traced", alpha=alpha, omega1=0.3)
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_a_value_on_a_tied_axis(self, tmp_path):
         # a tied axis copies its leader, so a grid or angle given for it would be dropped
         out = tmp_path / "tied.csv"
