@@ -44,12 +44,12 @@ print("\nmomentum-traced channel at alpha = pi/4, opposite branch angles:")
 print("  Omega/pi   S(rho)    avg capacity   C(rho_ab)  [state w]")
 w = make_state("w")
 for omega in np.linspace(0, math.pi, 9):
-    rho = momentum_traced_channel(w, (omega, omega, omega), MomentumConfig(math.pi / 4, "opposite"))
+    rho = momentum_traced_channel(w, (omega, omega, omega), MomentumConfig(math.pi / 4))
     entropy = von_neumann_entropy(rho)
     cap = average_capacity(rho).average
     conc = concurrence(reduced(rho, (0, 1)))
     print(f"  {omega / math.pi:6.3f}   {entropy:7.4f}   {cap:10.6f}     {conc:7.4f}")
 
-print("\nthe same channel with convention 'same' never mixes:")
-rho = momentum_traced_channel(w, (1.0, 2.0, 0.5), MomentumConfig(math.pi / 4, "same"))
+print("\nthe pure transform alone never mixes (S = 0 up to rounding):")
+rho = to_density(product_transform(w, (1.0, 2.0, 0.5)))
 print(f"  S(rho) = {von_neumann_entropy(rho):.2e}")

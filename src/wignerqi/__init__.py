@@ -17,7 +17,6 @@ from .lorentz import (
     momentum_traced_channel,
     product_transform,
     w_variant_coefficients,
-    wigner_unitary,
 )
 from .measures import (
     CapacityBreakdown,
@@ -27,7 +26,6 @@ from .measures import (
     concurrence,
     fidelity_pure,
     fidelity_vs_target,
-    one_tangle,
     pair_capacity,
     three_tangle,
     von_neumann_entropy,
@@ -71,7 +69,6 @@ __all__ = [
     "fidelity_vs_target",
     "make_state",
     "momentum_traced_channel",
-    "one_tangle",
     "pair_capacity",
     "product_transform",
     "reduced",
@@ -81,6 +78,5 @@ __all__ = [
     "to_density",
     "von_neumann_entropy",
     "w_variant_coefficients",
-    "wigner_unitary",
     "write_csv",
 ]

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .lorentz import BRANCH_CONVENTIONS
 from .qmath import NumericValidationError
 from .states import STATE_TAGS
 from .sweep import (
@@ -49,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FOLLOWER=LEADER",
         help="tie one angle axis to another, e.g. omega2=omega1 (repeatable)",
     )
-    sweep.add_argument("--convention", default="opposite", choices=BRANCH_CONVENTIONS)
     sweep.add_argument("--measure", action="append", required=True, help="measure id, comma-separable")
     sweep.add_argument("--out", required=True, help="destination CSV path")
 
@@ -62,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_sweep_command(args) -> list:
     measures = [m for chunk in args.measure for m in chunk.split(",") if m]
     axes = {axis: parse_axis(getattr(args, axis)) for axis in AXES if getattr(args, axis) is not None}
-    options = dict(mode=args.mode, alpha=parse_angle(args.alpha), ties=args.tie, convention=args.convention, **axes)
+    options = dict(mode=args.mode, alpha=parse_angle(args.alpha), ties=args.tie, **axes)
     return [(args.out, write_sweep(args.out, args.state, measures, **options))]
 
 

@@ -29,14 +29,6 @@ import numpy as np
 
 from .states import DensityOperator, PureState, check_unit_norms, make_state, projectors
 
-#: Branch conventions for the momentum-superposed channel: ``opposite`` flips
-#: the sign of every Wigner angle on the reversed-momentum branch, ``same``
-#: applies identical angles to both branches (and so stays pure).
-OPPOSITE = "opposite"
-SAME = "same"
-BRANCH_CONVENTIONS = (OPPOSITE, SAME)
-
-
 class WignerAngles(NamedTuple):
     """Per-qubit Wigner rotation angles, in radians."""
 
@@ -47,24 +39,17 @@ class WignerAngles(NamedTuple):
 
 @dataclass(frozen=True)
 class MomentumConfig:
-    """Weight and sign convention of the two momentum branches.
+    """Weights of the two momentum branches.
 
-    ``alpha`` sets the branch weights cos(alpha)**2 and sin(alpha)**2;
-    ``branch_sign_convention`` picks how the Wigner angles depend on the
-    momentum direction of the second branch.
+    ``alpha`` sets the branch weights cos(alpha)**2 and sin(alpha)**2. The
+    reversed branch sees the negated Wigner angles.
     """
 
     alpha: float
-    branch_sign_convention: str = OPPOSITE
 
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha!r}")
-        if self.branch_sign_convention not in BRANCH_CONVENTIONS:
-            raise ValueError(
-                f"unknown branch convention {self.branch_sign_convention!r}; "
-                f"expected one of {BRANCH_CONVENTIONS}"
-            )
 
 
 def _as_angles(angles) -> WignerAngles:
@@ -84,11 +69,6 @@ def wigner_unitaries(omegas) -> np.ndarray:
     real[:, 1, 0] = [math.sin(0.5 * omega) for omega in omegas]
     np.negative(real[:, 1, 0], out=real[:, 0, 1])
     return u
-
-
-def wigner_unitary(omega: float) -> np.ndarray:
-    """Single-qubit Wigner rotation at half angle omega/2; the one-angle case of :func:`wigner_unitaries`."""
-    return wigner_unitaries([omega])[0]
 
 
 def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,36 +166,30 @@ def momentum_traced_channel_batch(amplitudes, rotations, config: MomentumConfig)
     """Stack of :func:`momentum_traced_channel` outputs, shape (n, 8, 8).
 
     ``rotations`` are the forward branch's three (n, 2, 2) per-qubit rotation
-    stacks (see :func:`wigner_unitaries`). The ``opposite`` convention rotates
-    the reversed branch by their transposes: D(-omega) = D(omega)^T holds bit
-    for bit, since negation is exact and the math library's cos is even and its
-    sin odd. Every row of both branches is checked to unit norm, which
-    certifies the mix (see :func:`~wignerqi.states.projectors`); no eigensolve
-    validates it.
+    stacks (see :func:`wigner_unitaries`). The reversed branch is rotated by
+    their transposes: D(-omega) = D(omega)^T holds bit for bit, since
+    negation is exact and the math library's cos is even and its sin odd.
+    Every row of both branches is checked to unit norm, which certifies the
+    mix (see :func:`~wignerqi.states.projectors`); no eigensolve validates it.
     """
     forward = product_transform_batch(amplitudes, *rotations)
     check_unit_norms(forward)
-    forward_projectors = projectors(forward)
-    if config.branch_sign_convention == OPPOSITE:
-        reversed_branch = product_transform_batch(amplitudes, *(d.mT for d in rotations))
-        check_unit_norms(reversed_branch)
-        reversed_projectors = projectors(reversed_branch)
-    else:
-        reversed_projectors = forward_projectors
+    reversed_branch = product_transform_batch(amplitudes, *(d.mT for d in rotations))
+    check_unit_norms(reversed_branch)
     w_forward = math.cos(config.alpha) ** 2
     w_reversed = math.sin(config.alpha) ** 2
-    return w_forward * forward_projectors + w_reversed * reversed_projectors
+    return w_forward * projectors(forward) + w_reversed * projectors(reversed_branch)
 
 
 def momentum_traced_channel(psi: PureState, angles, config: MomentumConfig) -> DensityOperator:
     """Spin state left after boosting a two-branch momentum superposition.
 
     The forward branch (weight cos(alpha)**2) is transformed at the given
-    angles; the reversed branch (weight sin(alpha)**2) at the same angles or
-    their negatives depending on ``config.branch_sign_convention``. Reading
-    out the spin part alone mixes the two branch projectors, so for the
-    ``opposite`` convention and alpha not a multiple of pi/2 the output is
-    generally mixed. The one-point case of :func:`momentum_traced_channel_batch`.
+    angles and the reversed branch (weight sin(alpha)**2) at their
+    negatives. Reading out the spin part alone mixes the two branch
+    projectors, so for alpha not a multiple of pi/2 the output is generally
+    mixed; at alpha = 0 it is the projector of :func:`product_transform`.
+    The one-point case of :func:`momentum_traced_channel_batch`.
     """
     if psi.qubit_count != 3:
         raise ValueError(f"momentum_traced_channel acts on 3 qubits, got {psi.qubit_count}")

@@ -183,13 +183,6 @@ def one_tangle_batch(projectors) -> np.ndarray:
     return 2.0 * np.sqrt(det)
 
 
-def one_tangle(psi: PureState) -> float:
-    """Entanglement 2*sqrt(det rho_0) between qubit 0 and the rest."""
-    if psi.qubit_count != 3:
-        raise ValueError(f"one_tangle expects 3 qubits, got {psi.qubit_count}")
-    return float(one_tangle_batch(projectors(psi.amplitudes)))
-
-
 def three_tangle_batch(projectors):
     """Squared tangle components of a (..., 8, 8) stack of validated pure-state projectors.
 

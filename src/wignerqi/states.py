@@ -116,15 +116,17 @@ class DensityDiagnostics:
 def validate_density(matrix) -> DensityDiagnostics:
     """Measure how far ``matrix`` is from a valid density operator.
 
-    Purely diagnostic: accepts any square matrix, or a stack of them along
-    leading axes, and reports per matrix the worst Hermiticity violation,
-    the trace deviation from one, and the most negative eigenvalue (of the
-    Hermitian part, so the check is meaningful even for slightly asymmetric
-    input).
+    Accepts any finite square matrix, or a stack of them along leading
+    axes, and reports per matrix the worst Hermiticity violation, the trace
+    deviation from one, and the most negative eigenvalue (of the Hermitian
+    part, so the check is meaningful even for slightly asymmetric input).
+    A non-finite entry raises ``NumericValidationError`` before any arithmetic.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NumericValidationError("density matrix holds a non-finite entry")
     adjoint = m.conj().mT
     herm = np.abs(m - adjoint).max(axis=(-2, -1))
     trace_dev = (m.trace(axis1=-2, axis2=-1) - 1.0).real

@@ -195,20 +195,18 @@ class _Plan(NamedTuple):
     state: str
     measures: tuple[str, ...]
     mode: str
-    config: MomentumConfig  # alpha and branch convention, checked when planned
+    config: MomentumConfig  # alpha, checked when planned
     shape: tuple[int, ...]  # grid size of each free axis, in AXES order
     grids: tuple[np.ndarray, ...]  # grid values of each free axis
     sources: tuple[int, int, int]  # the free axis that omega1..omega3 each read
 
 
-def _plan(
-    state, measures, *, mode="pure", alpha=0.0, omega1=None, omega2=None, omega3=None, ties=(), convention="opposite"
-) -> _Plan:
+def _plan(state, measures, *, mode="pure", alpha=0.0, omega1=None, omega2=None, omega3=None, ties=()) -> _Plan:
     if state not in STATE_TAGS:
         raise ValueError(f"unknown state {state!r}; expected one of {STATE_TAGS}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    config = MomentumConfig(float(alpha), convention)
+    config = MomentumConfig(float(alpha))
     if mode == "pure" and alpha != 0.0:
         raise ValueError(f"alpha {alpha!r} has no effect in pure mode; use the traced mode or alpha 0")
     measures = tuple(measures)
@@ -295,7 +293,7 @@ def run_sweep(state: str, measures, **options) -> list[MeasureRecord]:
     """Evaluate measures over an angle grid and return records in grid order.
 
     The options and their defaults are ``mode="pure"``, ``alpha=0.0``,
-    ``omega1=omega2=omega3=None``, ``ties=()`` and ``convention="opposite"``.
+    ``omega1=omega2=omega3=None`` and ``ties=()``.
     Each axis is a fixed angle in radians, a :class:`SweepGrid`, or ``None``
     (the fixed angle 0). ``ties`` holds ``"follower=leader"`` strings such as
     ``"omega2=omega1"``; a follower copies its leader's current value, so a

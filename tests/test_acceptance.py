@@ -180,7 +180,7 @@ def test_local_unitary_invariance_suite(rng):
 def test_momentum_traced_decay():
     start = time.perf_counter()
     angles = (math.pi / 2, math.pi / 2, math.pi / 2)
-    rho = momentum_traced_channel(make_state("w"), angles, MomentumConfig(math.pi / 4, "opposite"))
+    rho = momentum_traced_channel(make_state("w"), angles, MomentumConfig(math.pi / 4))
     entropy = von_neumann_entropy(rho)
     pure_value = 2.0 / 3.0
     concurrences = [concurrence(reduced(rho, pair)) for pair in ((0, 1), (0, 2), (1, 2))]

@@ -76,6 +76,15 @@ def test_duplicate_measures_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_convention_flag_exit_2(tmp_path, capsys):
+    # the traced channel has one branch rule, so there is no flag to choose one
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--state", "w", "--mode", "traced", "--alpha", "0.3pi", "--omega1", "0.3"]
+    assert run(argv + ["--convention", "same", "--measure", "entropy_a", "--out", str(out)]) == 2
+    assert "--convention" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oversized_grid_exit_2(tmp_path, capsys, monkeypatch):
     def no_grid(self):
         raise AssertionError("the grid was built before the size check")
@@ -144,12 +153,7 @@ SWEEP_CASES = {
     ),
     "traced_opposite": (
         ["--state", "w", "--mode", "traced", "--alpha", "0.3pi", "--measure", ",".join(TRACED_FOUR)],
-        ("w", TRACED_FOUR, dict(mode="traced", alpha=0.3 * np.pi, convention="opposite")),
-    ),
-    "traced_same": (
-        ["--state", "w", "--mode", "traced", "--alpha", "0.3pi", "--convention", "same",
-         "--measure", ",".join(TRACED_FOUR)],
-        ("w", TRACED_FOUR, dict(mode="traced", alpha=0.3 * np.pi, convention="same")),
+        ("w", TRACED_FOUR, dict(mode="traced", alpha=0.3 * np.pi)),
     ),
 }
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerqi.lorentz import (
-    BRANCH_CONVENTIONS,
     MomentumConfig,
     WignerAngles,
     audit_w_coefficient_table,
@@ -15,7 +14,6 @@ from wignerqi.lorentz import (
     product_transform_batch,
     w_variant_coefficients,
     wigner_unitaries,
-    wigner_unitary,
 )
 from wignerqi.measures import concurrence
 from wignerqi.oracle import ghz_coefficients, w_coefficients
@@ -34,31 +32,30 @@ def random_angles(rng):
 
 class TestWignerUnitary:
     def test_zero_is_identity(self):
-        np.testing.assert_allclose(wigner_unitary(0.0), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(wigner_unitaries([0.0])[0], np.eye(2), atol=1e-15)
 
     def test_half_turn(self):
-        np.testing.assert_allclose(wigner_unitary(np.pi), [[0, -1], [1, 0]], atol=1e-15)
+        np.testing.assert_allclose(wigner_unitaries([np.pi])[0], [[0, -1], [1, 0]], atol=1e-15)
 
     def test_quarter_turn(self):
         np.testing.assert_allclose(
-            wigner_unitary(np.pi / 2), np.array([[1, -1], [1, 1]]) * SQ2, atol=1e-15
+            wigner_unitaries([np.pi / 2])[0], np.array([[1, -1], [1, 1]]) * SQ2, atol=1e-15
         )
 
     def test_unitary_everywhere(self, rng):
-        for omega in rng.uniform(-10 * np.pi, 10 * np.pi, 1000):
-            u = wigner_unitary(omega)
-            assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
+        u = wigner_unitaries(rng.uniform(-10 * np.pi, 10 * np.pi, 1000))
+        assert np.max(np.abs(u.conj().mT @ u - np.eye(2))) < 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(omega=angles_st)
     def test_spinor_periodicity(self, omega):
-        u = wigner_unitary(omega)
-        np.testing.assert_allclose(wigner_unitary(omega + 4 * math.pi), u, atol=1e-12)
-        np.testing.assert_allclose(wigner_unitary(omega + 2 * math.pi), -u, atol=1e-12)
+        u, full_turns, one_turn = wigner_unitaries([omega, omega + 4 * math.pi, omega + 2 * math.pi])
+        np.testing.assert_allclose(full_turns, u, atol=1e-12)
+        np.testing.assert_allclose(one_turn, -u, atol=1e-12)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            wigner_unitary(float("nan"))
+            wigner_unitaries([float("nan")])
 
 
 class TestProductTransform:
@@ -124,7 +121,8 @@ class TestProductTransformBatch:
     @staticmethod
     def per_point(psi, angles):
         # The dense 8x8 route: np.kron of the three rotations, then one matvec.
-        u = np.kron(np.kron(wigner_unitary(angles[0]), wigner_unitary(angles[1])), wigner_unitary(angles[2]))
+        d1, d2, d3 = wigner_unitaries(angles)
+        u = np.kron(np.kron(d1, d2), d3)
         return u @ psi.amplitudes
 
     def test_bitwise_equal_to_per_point_kron(self, rng):
@@ -167,7 +165,7 @@ class TestProductTransformBatch:
             with pytest.raises(ValueError, match=f"finite, got {float(bad)!r}$"):
                 wigner_unitaries([0.0, bad])
             with pytest.raises(ValueError, match="finite"):
-                wigner_unitary(bad)
+                wigner_unitaries([bad])
 
 
 class TestCoefficientTables:
@@ -238,7 +236,7 @@ class TestMomentumTracedChannel:
     def test_alpha_right_angle_is_reversed_branch(self, rng):
         psi = make_state("ghz_plus")
         angles = random_angles(rng)
-        rho = momentum_traced_channel(psi, angles, MomentumConfig(np.pi / 2, "opposite"))
+        rho = momentum_traced_channel(psi, angles, MomentumConfig(np.pi / 2))
         flipped = WignerAngles(-angles[0], -angles[1], -angles[2])
         np.testing.assert_allclose(
             rho.matrix, to_density(product_transform(psi, flipped)).matrix, atol=1e-12
@@ -246,23 +244,16 @@ class TestMomentumTracedChannel:
 
     def test_half_turns_collapse_to_ghz_minus_projector(self):
         rho = momentum_traced_channel(
-            make_state("ghz_plus"), (np.pi, np.pi, np.pi), MomentumConfig(np.pi / 4, "opposite")
+            make_state("ghz_plus"), (np.pi, np.pi, np.pi), MomentumConfig(np.pi / 4)
         )
         target = to_density(make_state("ghz_minus")).matrix
         np.testing.assert_allclose(rho.matrix, target, atol=1e-12)
-
-    def test_same_convention_stays_pure(self, rng):
-        psi = make_state("w")
-        angles = random_angles(rng)
-        rho = momentum_traced_channel(psi, angles, MomentumConfig(0.8, "same"))
-        purity = np.trace(rho.matrix @ rho.matrix).real
-        assert abs(purity - 1.0) < 1e-12
 
     def test_output_is_valid_density(self, rng):
         for _ in range(20):
             amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             psi = PureState(amps / np.linalg.norm(amps))
-            cfg = MomentumConfig(rng.uniform(0, np.pi), "opposite")
+            cfg = MomentumConfig(rng.uniform(0, np.pi))
             rho = momentum_traced_channel(psi, random_angles(rng), cfg)
             assert validate_density(rho.matrix).ok
 
@@ -270,15 +261,18 @@ class TestMomentumTracedChannel:
         psi = make_state("w")
         angles = random_angles(rng)
         alpha = 0.7
-        rho = momentum_traced_channel(psi, angles, MomentumConfig(alpha, "opposite"))
+        rho = momentum_traced_channel(psi, angles, MomentumConfig(alpha))
         plus = to_density(product_transform(psi, angles)).matrix
         minus = to_density(product_transform(psi, WignerAngles(-angles[0], -angles[1], -angles[2]))).matrix
         expected = math.cos(alpha) ** 2 * plus + math.sin(alpha) ** 2 * minus
         np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
 
-    def test_rejects_unknown_convention(self):
-        with pytest.raises(ValueError):
-            MomentumConfig(0.1, "sideways")
+    def test_takes_alpha_alone(self):
+        # the reversed branch always sees the negated angles; nothing selects another rule
+        with pytest.raises(TypeError):
+            MomentumConfig(0.1, "opposite")
+        with pytest.raises(TypeError):
+            MomentumConfig(0.1, branch_sign_convention="opposite")
 
 
 # The named states are symmetric under every permutation of the qubits.
@@ -301,7 +295,7 @@ class TestTracedChannelIdentities:
     @settings(max_examples=100, deadline=None)
     @given(state=st.sampled_from(STATE_TAGS), alpha=alphas_st, angles=triples_st)
     def test_branch_swap(self, state, alpha, angles):
-        # rho(alpha, omega) = rho(pi/2 - alpha, -omega) under "opposite"
+        # rho(alpha, omega) = rho(pi/2 - alpha, -omega)
         psi = make_state(state)
         rho = momentum_traced_channel(psi, angles, MomentumConfig(alpha))
         swapped = momentum_traced_channel(psi, [-omega for omega in angles], MomentumConfig(math.pi / 2 - alpha))
@@ -311,12 +305,11 @@ class TestTracedChannelIdentities:
     @given(
         state=st.sampled_from(STATE_TAGS),
         alpha=alphas_st,
-        convention=st.sampled_from(BRANCH_CONVENTIONS),
         angles=triples_st,
     )
-    def test_qubit_swap(self, state, alpha, convention, angles):
+    def test_qubit_swap(self, state, alpha, angles):
         omega1, omega2, omega3 = angles
-        config = MomentumConfig(alpha, convention)
+        config = MomentumConfig(alpha)
         rho = momentum_traced_channel(make_state(state), angles, config)
         swapped = momentum_traced_channel(make_state(state), (omega2, omega1, omega3), config)
         np.testing.assert_allclose(swapped.matrix, SWAP_01 @ rho.matrix @ SWAP_01, rtol=0, atol=MATRIX_ATOL)
@@ -337,27 +330,18 @@ class TestTracedChannelIdentities:
                 assert traced <= CONCURRENCE_ATOL
 
     @settings(max_examples=100, deadline=None)
-    @given(state=st.sampled_from(STATE_TAGS), alpha=alphas_st, angles=triples_st)
-    def test_same_convention_is_the_pure_projector(self, state, alpha, angles):
-        psi = make_state(state)
-        rho = momentum_traced_channel(psi, angles, MomentumConfig(alpha, "same"))
-        pure = to_density(product_transform(psi, angles))
-        np.testing.assert_allclose(rho.matrix, pure.matrix, rtol=0, atol=MATRIX_ATOL)
-
-    @settings(max_examples=100, deadline=None)
     @given(
         state=st.sampled_from(STATE_TAGS),
         alpha=alphas_st,
-        convention=st.sampled_from(BRANCH_CONVENTIONS),
         angles=triples_st,
     )
-    def test_rank_two_spectrum(self, state, alpha, convention, angles):
+    def test_rank_two_spectrum(self, state, alpha, angles):
         # rho = w_f |f><f| + w_r |r><r| has the two nonzero eigenvalues
         # (1 +- sqrt(1 - 4 w_f w_r (1 - |<f|r>|^2))) / 2, and the rest are 0
         psi = make_state(state)
-        rho = momentum_traced_channel(psi, angles, MomentumConfig(alpha, convention))
+        rho = momentum_traced_channel(psi, angles, MomentumConfig(alpha))
         f = product_transform(psi, angles).amplitudes
-        r = product_transform(psi, [-omega for omega in angles] if convention == "opposite" else angles).amplitudes
+        r = product_transform(psi, [-omega for omega in angles]).amplitudes
         w_f, w_r = math.cos(alpha) ** 2, math.sin(alpha) ** 2
         root = math.sqrt(max(0.0, 1.0 - 4.0 * w_f * w_r * (1.0 - abs(np.vdot(f, r)) ** 2)))
         expected = [0.0] * 6 + [(1.0 - root) / 2, (1.0 + root) / 2]
@@ -368,14 +352,13 @@ class TestTracedChannelIdentities:
         state=st.sampled_from(STATE_TAGS),
         mode=st.sampled_from(MODES),
         alpha=alphas_st,
-        convention=st.sampled_from(BRANCH_CONVENTIONS),
         angles=triples_st,
         axis=st.sampled_from(AXES),
     )
-    def test_two_pi_periodicity(self, state, mode, alpha, convention, angles, axis):
+    def test_two_pi_periodicity(self, state, mode, alpha, angles, axis):
         # D(omega + 2pi) = -D(omega) flips only the sign of a branch, which no
         # measure sees
-        options = dict(mode=mode, alpha=alpha if mode == "traced" else 0.0, convention=convention)
+        options = dict(mode=mode, alpha=alpha if mode == "traced" else 0.0)
         measures = [m for m in MEASURE_IDS if mode == "pure" or m != "three_tangle"]
         base = dict(zip(AXES, angles))
         shifted = {**base, axis: base[axis] + 2 * math.pi}

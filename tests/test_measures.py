@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wignerqi.lorentz import WignerAngles, product_transform, wigner_unitary
+from wignerqi.lorentz import WignerAngles, product_transform, wigner_unitaries
 from wignerqi.measures import (
     CapacityClampWarning,
     average_capacity,
@@ -15,7 +15,6 @@ from wignerqi.measures import (
     fidelity_pure,
     fidelity_pure_batch,
     fidelity_vs_target,
-    one_tangle,
     pair_capacity,
     three_tangle,
     von_neumann_entropy,
@@ -117,7 +116,7 @@ class TestEntropy:
         for _ in range(10):
             rho = to_density(haar_random_state(2, rng))
             mixed = DensityOperator(0.6 * rho.matrix + 0.4 * np.eye(4) / 4)
-            u = np.kron(*(wigner_unitary(o) for o in rng.uniform(0, 2 * np.pi, 2)))
+            u = np.kron(*wigner_unitaries(rng.uniform(0, 2 * np.pi, 2)))
             conjugated = DensityOperator(u @ mixed.matrix @ u.conj().T)
             assert von_neumann_entropy(conjugated) == pytest.approx(von_neumann_entropy(mixed), abs=1e-9)
 
@@ -244,9 +243,10 @@ class TestConcurrence:
 
 class TestTangle:
     def test_one_tangle_examples(self):
-        assert one_tangle(make_state("ghz_plus")) == pytest.approx(1.0, abs=1e-12)
-        assert one_tangle(PureState(np.eye(8)[0])) == pytest.approx(0.0, abs=1e-12)
-        assert one_tangle(make_state("w")) == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-12)
+        # squared one-tangles 4 det(rho_0): 1, 0 and 8/9
+        assert three_tangle(make_state("ghz_plus")).one_tangle_sq == pytest.approx(1.0, abs=1e-12)
+        assert three_tangle(PureState(np.eye(8)[0])).one_tangle_sq == pytest.approx(0.0, abs=1e-12)
+        assert three_tangle(make_state("w")).one_tangle_sq == pytest.approx(8 / 9, abs=1e-12)
 
     def test_three_tangle_ghz(self):
         breakdown = three_tangle(make_state("ghz_plus"))

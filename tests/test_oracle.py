@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from wignerqi.lorentz import (
-    BRANCH_CONVENTIONS,
     MomentumConfig,
     WignerAngles,
     momentum_traced_channel,
@@ -100,15 +99,14 @@ class TestOraclePartialTrace:
 
 
 class TestOracleTracedChannel:
-    @pytest.mark.parametrize("convention", BRANCH_CONVENTIONS)
     @pytest.mark.parametrize("tag", STATE_TAGS)
-    def test_fast_channel_matches_entrywise(self, rng, tag, convention):
+    def test_fast_channel_matches_entrywise(self, rng, tag):
         psi = make_state(tag)
         for _ in range(50):
             alpha = rng.uniform(-np.pi, np.pi)
             angles = rng.uniform(-4 * np.pi, 4 * np.pi, 3)
-            fast = momentum_traced_channel(psi, angles, MomentumConfig(alpha, convention)).matrix
-            slow = oracle_traced_channel(psi, angles, alpha, convention).matrix
+            fast = momentum_traced_channel(psi, angles, MomentumConfig(alpha)).matrix
+            slow = oracle_traced_channel(psi, angles, alpha).matrix
             np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
 
     def test_branch_weights_and_conventions(self):
@@ -116,12 +114,12 @@ class TestOracleTracedChannel:
         angles = (0.4, -1.3, 2.2)
         forward = to_density(oracle_transform(psi, angles)).matrix
         backward = to_density(oracle_transform(psi, (-0.4, 1.3, -2.2))).matrix
-        cases = ((0.0, "opposite", forward), (np.pi / 2, "opposite", backward), (0.7, "same", forward))
-        for alpha, convention, expected in cases:
-            channel = oracle_traced_channel(psi, angles, alpha, convention).matrix
+        mixed = np.cos(0.7) ** 2 * forward + np.sin(0.7) ** 2 * backward
+        for alpha, expected in ((0.0, forward), (np.pi / 2, backward), (0.7, mixed)):
+            channel = oracle_traced_channel(psi, angles, alpha).matrix
             np.testing.assert_allclose(channel, expected, atol=1e-15)
-        with pytest.raises(ValueError, match="convention"):
-            oracle_traced_channel(psi, angles, 0.7, "momentum_traced")
+        with pytest.raises(TypeError):
+            oracle_traced_channel(psi, angles, 0.7, "opposite")
 
 
 class TestOracleThreeTangle:

@@ -114,6 +114,25 @@ def test_density_operator_rejects_invalid():
             check_densities(np.array([np.eye(2) / 2, bad, np.diag([1.25, -0.25])]))
 
 
+NON_FINITE = {"inf": np.inf, "-inf": -np.inf, "nan": np.nan, "inf_imag": complex(0, np.inf), "inf_both": complex(np.inf, np.inf)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_entries_refused_before_arithmetic(bad):
+    # refused with no numpy RuntimeWarning, on and off the diagonal and inside a stack
+    diagonal = np.array([[bad, 0], [0, 0.5]], dtype=complex)
+    off_diagonal = np.array([[0.5, bad], [0, 0.5]], dtype=complex)
+    for matrix in (diagonal, off_diagonal, np.array([np.eye(2) / 2, off_diagonal])):
+        with pytest.raises(NumericValidationError, match="non-finite"):
+            validate_density(matrix)
+        with pytest.raises(NumericValidationError, match="non-finite"):
+            check_densities(matrix)
+    for matrix in (diagonal, off_diagonal):
+        with pytest.raises(NumericValidationError, match="non-finite"):
+            DensityOperator(matrix)
+
+
 def test_reduced_wraps_partial_trace():
     rho = to_density(make_state("ghz_plus"))
     pair = reduced(rho, (0, 1))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerqi import lorentz, measures, sweep
-from wignerqi.lorentz import BRANCH_CONVENTIONS, MomentumConfig, momentum_traced_channel, product_transform
+from wignerqi.lorentz import MomentumConfig, momentum_traced_channel, product_transform
 from wignerqi.measures import (
     average_capacity,
     concurrence,
@@ -250,9 +250,14 @@ class TestRunSweep:
             run_sweep("w", [])
         with pytest.raises(ValueError, match="no effect in pure mode"):
             run_sweep("w", ["fidelity_w"], alpha=0.4)
-        for mode in sweep.MODES:
-            with pytest.raises(ValueError, match="unknown branch convention"):
-                run_sweep("w", ["fidelity_w"], mode=mode, convention="sideways", omega1=0.3)
+
+    def test_takes_no_branch_convention(self, tmp_path):
+        # the traced channel always negates the reversed branch's angles
+        with pytest.raises(TypeError, match="convention"):
+            run_sweep("w", ["entropy_a"], mode="traced", alpha=0.5, omega1=0.3, convention="opposite")
+        with pytest.raises(TypeError, match="convention"):
+            sweep.write_sweep(tmp_path / "x.csv", "w", ["entropy_a"], mode="traced", alpha=0.5, convention="opposite")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
     def test_plan_rejects_a_non_finite_traced_alpha(self, tmp_path, alpha):
@@ -376,20 +381,13 @@ class TestStackedEqualsPerPoint:
         return dict(omega1=SweepGrid(-1.0, 7.0, sweep.CHUNK_POINTS + 3), omega2=float(omega2), omega3=float(omega3))
 
     @pytest.mark.parametrize(
-        "state, convention, alpha",
-        [
-            ("w", "opposite", math.pi / 4),
-            ("ghz_plus", "opposite", 0.6),
-            ("w_prime", "same", math.pi / 4),
-            ("ghz_minus", "same", 0.6),
-        ],
+        "state, alpha",
+        [("w", math.pi / 4), ("ghz_plus", 0.6), ("w_prime", math.pi / 4), ("ghz_minus", 0.6)],
     )
-    def test_traced(self, rng, state, convention, alpha):
-        records = run_sweep(
-            state, TRACED_MEASURES, mode="traced", alpha=alpha, convention=convention, **self._grid_axes(rng)
-        )
+    def test_traced(self, rng, state, alpha):
+        records = run_sweep(state, TRACED_MEASURES, mode="traced", alpha=alpha, **self._grid_axes(rng))
         assert len(records) == len(TRACED_MEASURES) * (sweep.CHUNK_POINTS + 3)
-        config = MomentumConfig(alpha, convention)
+        config = MomentumConfig(alpha)
         for point in range(0, len(records), len(TRACED_MEASURES)):
             row = records[point : point + len(TRACED_MEASURES)]
             rho = momentum_traced_channel(make_state(state), (row[0].omega1, row[0].omega2, row[0].omega3), config)
@@ -463,20 +461,20 @@ class TestDensityCertificate:
     @given(
         state=st.sampled_from(STATE_TAGS),
         alpha=st.floats(min_value=-math.pi, max_value=math.pi),
-        convention=st.sampled_from(BRANCH_CONVENTIONS + (None,)),
+        traced=st.booleans(),
         angles=st.lists(st.floats(min_value=-4 * math.pi, max_value=4 * math.pi), min_size=3, max_size=3),
     )
-    def test_stacks_pass_the_full_check(self, state, alpha, convention, angles):
+    def test_stacks_pass_the_full_check(self, state, alpha, traced, angles):
         axes = dict(zip(("omega1", "omega2", "omega3"), angles))
-        if convention is None:
-            options = dict(measures=sweep.MEASURE_IDS)
+        if traced:
+            options = dict(measures=TRACED_MEASURES, mode="traced", alpha=alpha)
         else:
-            options = dict(measures=TRACED_MEASURES, mode="traced", alpha=alpha, convention=convention)
+            options = dict(measures=sweep.MEASURE_IDS)
         with pytest.MonkeyPatch.context() as patch:
             counts = check_formed_densities(patch)
             run_sweep(state, **options, **axes)
         assert counts["wignerqi.measures.partial_trace"] > 0 and counts["wignerqi.sweep.partial_trace"] == 4
-        assert counts["wignerqi.sweep.momentum_traced_channel_batch"] == (convention is not None)
+        assert counts["wignerqi.sweep.momentum_traced_channel_batch"] == traced
 
 
 class TestWriteCsv:
