@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import DensityOperator, PureState, check_unit_norms, make_state, projectors
+from .states import DensityOperator, PureState, _certified_density, check_unit_norms, make_state, projectors
 
 class WignerAngles(NamedTuple):
     """Per-qubit Wigner rotation angles, in radians."""
@@ -189,9 +189,10 @@ def momentum_traced_channel(psi: PureState, angles, config: MomentumConfig) -> D
     negatives. Reading out the spin part alone mixes the two branch
     projectors, so for alpha not a multiple of pi/2 the output is generally
     mixed; at alpha = 0 it is the projector of :func:`product_transform`.
-    The one-point case of :func:`momentum_traced_channel_batch`.
+    The one-point case of :func:`momentum_traced_channel_batch`, whose checked
+    branch norms certify the result, so no eigensolve checks it.
     """
     if psi.qubit_count != 3:
         raise ValueError(f"momentum_traced_channel acts on 3 qubits, got {psi.qubit_count}")
     rotations = wigner_unitaries(_as_angles(angles))[:, None]
-    return DensityOperator(momentum_traced_channel_batch(psi.amplitudes, rotations, config)[0])
+    return _certified_density(momentum_traced_channel_batch(psi.amplitudes, rotations, config)[0])

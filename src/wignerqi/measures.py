@@ -134,7 +134,7 @@ def average_capacity_batch(matrices):
 
     Returns four arrays with the stack's leading shape.
     """
-    ab, ac, bc = (pair_capacity_batch(partial_trace(matrices, pair)) for pair in ((0, 1), (0, 2), (1, 2)))
+    ab, ac, bc = pair_capacity_batch(np.stack([partial_trace(matrices, pair) for pair in ((0, 1), (0, 2), (1, 2))]))
     return ab, ac, bc, (ab + ac + bc) / 3.0
 
 
@@ -190,8 +190,7 @@ def three_tangle_batch(projectors):
     each with the stack's leading shape; see :class:`TangleBreakdown`.
     """
     ot = one_tangle_batch(projectors)
-    c_first = concurrence_batch(partial_trace(projectors, (0, 1)))
-    c_second = concurrence_batch(partial_trace(projectors, (0, 2)))
+    c_first, c_second = concurrence_batch(np.stack([partial_trace(projectors, pair) for pair in ((0, 1), (0, 2))]))
     one_sq = ot * ot
     c12_sq = c_first * c_first
     c13_sq = c_second * c_second

@@ -7,6 +7,7 @@ amplitude vectors and density matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,7 +62,13 @@ def check_unit_norms(amplitudes) -> None:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, trace-one, positive-semidefinite matrix on ``qubit_count`` qubits."""
+    """Hermitian, trace-one, positive-semidefinite matrix on ``qubit_count`` qubits.
+
+    A caller-built operator gets the full :func:`check_densities` check.
+    :func:`to_density` and :func:`~wignerqi.lorentz.momentum_traced_channel`
+    return operators that checked norms certify instead (see
+    :func:`projectors`); :func:`reduced` checks its result again.
+    """
 
     matrix: np.ndarray
 
@@ -152,13 +159,20 @@ def check_densities(matrices) -> None:
 
 
 def make_state(tag: str) -> PureState:
-    """Build one of the named three-qubit states.
+    """One of the named three-qubit states, built once and shared (its amplitudes are read-only).
 
     ``ghz_plus``  (|000> + |111>)/sqrt(2)
     ``ghz_minus`` (|000> - |111>)/sqrt(2)
     ``w``         (|100> + |010> + |001>)/sqrt(3)
     ``w_prime``   (|110> + |101> + |011>)/sqrt(3)
     """
+    if not isinstance(tag, str) or tag not in STATE_TAGS:
+        raise ValueError(f"unknown state tag {tag!r}; expected one of {STATE_TAGS}")
+    return _named_state(tag)
+
+
+@functools.cache
+def _named_state(tag: str) -> PureState:
     amps = np.zeros(8, dtype=complex)
     if tag == "ghz_plus":
         amps[0] = amps[7] = 1.0 / math.sqrt(2.0)
@@ -167,10 +181,8 @@ def make_state(tag: str) -> PureState:
         amps[7] = -1.0 / math.sqrt(2.0)
     elif tag == "w":
         amps[4] = amps[2] = amps[1] = 1.0 / math.sqrt(3.0)
-    elif tag == "w_prime":
-        amps[3] = amps[5] = amps[6] = 1.0 / math.sqrt(3.0)
     else:
-        raise ValueError(f"unknown state tag {tag!r}; expected one of {STATE_TAGS}")
+        amps[3] = amps[5] = amps[6] = 1.0 / math.sqrt(3.0)
     return PureState(amps)
 
 
@@ -187,11 +199,27 @@ def projectors(amplitudes) -> np.ndarray:
     return a[..., :, None] * a.conj()[..., None, :]
 
 
+def _certified_density(matrix) -> DensityOperator:
+    """Make a fresh matrix that checked norms certify (see :func:`projectors`) read-only and wrap it, unchecked."""
+    matrix.setflags(write=False)
+    rho = object.__new__(DensityOperator)
+    object.__setattr__(rho, "matrix", matrix)
+    return rho
+
+
 def to_density(psi: PureState) -> DensityOperator:
-    """Rank-one projector |psi><psi| of a pure state."""
-    return DensityOperator(projectors(psi.amplitudes))
+    """Rank-one projector |psi><psi| of a pure state.
+
+    Certified by the checked norm of ``psi`` (see :func:`projectors`), so
+    no eigensolve checks it.
+    """
+    return _certified_density(projectors(psi.amplitudes))
 
 
 def reduced(rho: DensityOperator, keep) -> DensityOperator:
-    """Partial trace of a density operator down to the qubits in ``keep``."""
+    """Partial trace of a density operator down to the qubits in ``keep``.
+
+    The result gets the full check: roundoff below the eigenvalue floor can
+    grow by up to 2**k when k qubits are traced out.
+    """
     return DensityOperator(partial_trace(rho.matrix, keep))

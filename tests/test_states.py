@@ -35,6 +35,18 @@ def test_unknown_tag_rejected():
         make_state("bell")
 
 
+@pytest.mark.parametrize("tag", ["W", ["w"], None])
+def test_wrong_case_and_non_string_tags_rejected(tag):
+    with pytest.raises(ValueError, match="unknown state"):
+        make_state(tag)
+
+
+def test_named_states_built_once():
+    for tag in STATE_TAGS:
+        assert make_state(tag) is make_state(tag)
+        assert not make_state(tag).amplitudes.flags.writeable
+
+
 def test_pure_state_validation():
     with pytest.raises(NumericValidationError):
         PureState(np.array([1.0, 1.0]))  # not normalized
@@ -131,6 +143,14 @@ def test_non_finite_entries_refused_before_arithmetic(bad):
     for matrix in (diagonal, off_diagonal):
         with pytest.raises(NumericValidationError, match="non-finite"):
             DensityOperator(matrix)
+
+
+def test_reduced_checks_its_result():
+    # Tracing out qubit 0 doubles the -9e-11 eigenvalue past the -1e-10 floor.
+    e = 0.9e-10
+    rho = DensityOperator(np.diag([0.5 + e, -e, 0.5 + e, -e]))
+    with pytest.raises(NumericValidationError, match="min eigenvalue -1.800e-10"):
+        reduced(rho, (1,))
 
 
 def test_reduced_wraps_partial_trace():

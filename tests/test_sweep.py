@@ -22,7 +22,7 @@ from wignerqi.measures import (
     von_neumann_entropy,
 )
 from wignerqi.qmath import NumericValidationError
-from wignerqi.states import STATE_TAGS, check_densities, make_state, projectors, reduced, to_density
+from wignerqi.states import STATE_TAGS, PureState, check_densities, make_state, projectors, reduced, to_density
 from wignerqi.sweep import (
     AngleParseError,
     CSV_HEADER,
@@ -427,7 +427,7 @@ def check_formed_densities(patch):
         def run(*args):
             stack = kernel(*args)
             check_densities(stack)
-            counts[key] += len(stack)
+            counts[key] += math.prod(stack.shape[:-2])
             return stack
 
         return run
@@ -475,6 +475,22 @@ class TestDensityCertificate:
             run_sweep(state, **options, **axes)
         assert counts["wignerqi.measures.partial_trace"] > 0 and counts["wignerqi.sweep.partial_trace"] == 4
         assert counts["wignerqi.sweep.momentum_traced_channel_batch"] == traced
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        state=st.one_of(st.sampled_from(STATE_TAGS), st.integers(min_value=0, max_value=2**32 - 1)),
+        alpha=st.floats(min_value=-math.pi, max_value=math.pi),
+        angles=st.lists(st.floats(min_value=-4 * math.pi, max_value=4 * math.pi), min_size=3, max_size=3),
+    )
+    def test_scalar_outputs_pass_the_full_check(self, state, alpha, angles):
+        """to_density and momentum_traced_channel return operators no eigensolve checks."""
+        if isinstance(state, str):
+            psi = make_state(state)
+        else:  # a Haar-random state, seeded by the drawn integer
+            amps = np.random.default_rng(state).standard_normal(16).view(complex)
+            psi = PureState(amps / np.linalg.norm(amps))
+        check_densities(to_density(product_transform(psi, angles)).matrix)
+        check_densities(momentum_traced_channel(psi, angles, MomentumConfig(alpha)).matrix)
 
 
 class TestWriteCsv:
