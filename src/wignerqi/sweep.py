@@ -255,9 +255,9 @@ def _column(measure: str, rho) -> np.ndarray:
 def _chunks(plan: _Plan):
     """Evaluate the plan in blocks of up to CHUNK_POINTS grid points, in row-major order.
 
-    Yields ``(indices, angles, values)`` per block: ``indices`` holds each
-    point's grid index on every free axis, ``angles`` is the (n, 3) array of
-    its angles, and ``values`` maps each measure to its n values as floats.
+    Yields ``(indices, values)`` per block: ``indices`` holds each point's
+    grid index on every free axis, and ``values`` maps each measure to its n
+    values as floats.
     Every measure is a kernel over the whole block. Pure-mode fidelities read
     the (n, 8) amplitudes; every other measure reads an (n, 8, 8) density
     stack, which is the block's traced-channel output or, in pure mode, the
@@ -273,7 +273,6 @@ def _chunks(plan: _Plan):
     total = math.prod(plan.shape)
     for start in range(0, total, CHUNK_POINTS):
         indices = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, total)), plan.shape)
-        angles = np.stack([plan.grids[s][indices[s]] for s in plan.sources], axis=1)
         point_rotations = [rotations[s][indices[s]] for s in plan.sources]
         if plan.mode == "pure":
             amps = product_transform_batch(psi0.amplitudes, *point_rotations)
@@ -286,7 +285,7 @@ def _chunks(plan: _Plan):
         for measure in plan.measures:
             if measure not in values:
                 values[measure] = _column(measure, rho)
-        yield indices, angles, {m: column.tolist() for m, column in values.items()}
+        yield indices, {m: column.tolist() for m, column in values.items()}
 
 
 def run_sweep(state: str, measures, **options) -> list[MeasureRecord]:
@@ -308,9 +307,9 @@ def run_sweep(state: str, measures, **options) -> list[MeasureRecord]:
     """
     plan = _plan(state, measures, **options)
     records = []
-    for _, angles, values in _chunks(plan):
-        columns = [values[m] for m in plan.measures]
-        for (o1, o2, o3), row in zip(angles.tolist(), zip(*columns)):
+    for indices, values in _chunks(plan):
+        angles = [plan.grids[s][indices[s]].tolist() for s in plan.sources]
+        for o1, o2, o3, *row in zip(*angles, *(values[m] for m in plan.measures)):
             records.extend(
                 MeasureRecord(plan.state, plan.config.alpha, o1, o2, o3, m, v) for m, v in zip(plan.measures, row)
             )
@@ -398,7 +397,7 @@ def _write_plans(sweeps, path_of) -> list[tuple[Path, int]]:
                 files.setdefault(path_of(measure + suffix), []).append(measure)
             texts = [np.array([_fmt(v) for v in grid], dtype=object) for grid in plan.grids]
             head = f"{plan.state},{_fmt(plan.config.alpha)},"
-            for indices, _, values in _chunks(plan):
+            for indices, values in _chunks(plan):
                 o1, o2, o3 = (texts[s][indices[s]] for s in plan.sources)
                 for path, measures in files.items():
                     rows = [""] * (len(measures) * len(o1))

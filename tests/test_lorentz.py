@@ -1,10 +1,17 @@
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wignerqi
 from wignerqi.lorentz import (
     MomentumConfig,
     WignerAngles,
@@ -19,7 +26,7 @@ from wignerqi.measures import concurrence
 from wignerqi.oracle import ghz_coefficients, w_coefficients
 from wignerqi.qmath import partial_trace
 from wignerqi.states import STATE_TAGS, PureState, make_state, reduced, to_density, validate_density
-from wignerqi.sweep import AXES, MEASURE_IDS, MODES, run_sweep
+from wignerqi.sweep import AXES, CHUNK_POINTS, MEASURE_IDS, MODES, run_sweep
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -115,15 +122,41 @@ class TestProductTransform:
                     np.testing.assert_allclose(got, ref, atol=1e-9)
 
 
+def per_point(amplitudes, d1, d2, d3):
+    # The dense 8x8 route: np.kron of the three matrices, then one matvec per point.
+    return np.array([np.kron(np.kron(a, b), c) @ amplitudes for a, b, c in zip(d1, d2, d3)])
+
+
+def transform_mismatches(seed):
+    """Cases where product_transform_batch and the per-point route differ in any bit.
+
+    n = 1 and n = CHUNK_POINTS are each tried on three kinds of (n, 2, 2)
+    stacks: rotations (with the angles 0, -0, pi and -2*pi among the larger
+    stack's, so exact and signed zeros occur), their ``.mT`` views as the
+    reversed traced branch passes them, and generic complex matrices.
+    Comparing ``.view(np.uint64)`` tells -0.0 from +0.0, which
+    ``np.array_equal`` does not.
+    """
+    rng = np.random.default_rng(seed)
+    bad = []
+    for n in (1, CHUNK_POINTS):
+        omegas = rng.uniform(-10.0, 10.0, (3, n))
+        if n > 4:
+            omegas[:, :4] = [0.0, -0.0, np.pi, -2.0 * np.pi]
+        rotations = [wigner_unitaries(o) for o in omegas]
+        generic = [rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)) for _ in range(3)]
+        for kind, stacks in (("rotations", rotations), ("transposed", [d.mT for d in rotations]), ("generic", generic)):
+            for tag in STATE_TAGS:
+                amplitudes = make_state(tag).amplitudes
+                got = product_transform_batch(amplitudes, *stacks)
+                expected = per_point(amplitudes, *stacks)
+                if got.shape != (n, 8) or not np.array_equal(got.view(np.uint64), expected.view(np.uint64)):
+                    bad.append(f"{kind} n={n} {tag}")
+    return bad
+
+
 class TestProductTransformBatch:
     """The stacked transform must reproduce the per-point kron product bit for bit."""
-
-    @staticmethod
-    def per_point(psi, angles):
-        # The dense 8x8 route: np.kron of the three rotations, then one matvec.
-        d1, d2, d3 = wigner_unitaries(angles)
-        u = np.kron(np.kron(d1, d2), d3)
-        return u @ psi.amplitudes
 
     def test_bitwise_equal_to_per_point_kron(self, rng):
         triples = rng.uniform(-10.0, 10.0, (2000, 3))
@@ -134,17 +167,44 @@ class TestProductTransformBatch:
                 psi = make_state(tag)
                 batch = product_transform_batch(psi.amplitudes, *rotations)
                 assert batch.shape == (2000, 8)
+                expected = per_point(psi.amplitudes, *rotations)
+                assert np.array_equal(batch.view(np.uint64), expected.view(np.uint64))
                 for row, point in zip(batch, angles):
-                    expected = self.per_point(psi, point)
-                    assert np.array_equal(row, expected)
-                    assert np.array_equal(row, product_transform(psi, tuple(point)).amplitudes)
+                    scalar = product_transform(psi, tuple(point)).amplitudes
+                    assert np.array_equal(row.view(np.uint64), scalar.view(np.uint64))
+
+    def test_bitwise_equal_over_sizes_transposes_and_generic_stacks(self, rng):
+        assert transform_mismatches(int(rng.integers(2**32))) == []
+
+    @pytest.mark.skipif(
+        platform.machine() not in ("x86_64", "AMD64")
+        or "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
+        reason="OPENBLAS_CORETYPE selects kernels only in an x86-64 OpenBLAS",
+    )
+    @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+    def test_bitwise_equal_under_other_blas_kernels(self, kernel, rng):
+        # one tall matrix-vector call must sum as the per-point calls do on every
+        # kernel; Haswell is the one an AMD runner selects. The child alone sees the variable.
+        src = str(Path(wignerqi.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import json, runpy, sys\n"
+            "check = runpy.run_path(sys.argv[1])['transform_mismatches']\n"
+            "print(json.dumps(check(int(sys.argv[2]))))\n"
+        )
+        argv = [sys.executable, "-c", code, __file__, str(rng.integers(2**32))]
+        child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout.splitlines()[-1]) == []
 
     def test_single_point_batch(self):
         psi = make_state("w")
         angles = (0.3, -1.2, 2.5)
-        batch = product_transform_batch(psi.amplitudes, *(wigner_unitaries([o]) for o in angles))
+        rotations = [wigner_unitaries([o]) for o in angles]
+        batch = product_transform_batch(psi.amplitudes, *rotations)
         assert batch.shape == (1, 8)
-        assert np.array_equal(batch[0], self.per_point(psi, angles))
+        assert np.array_equal(batch, per_point(psi.amplitudes, *rotations))
         assert np.array_equal(batch[0], product_transform(psi, angles).amplitudes)
 
     def test_negated_angles_transpose_bit_for_bit(self, rng):
