@@ -63,6 +63,15 @@ def oracle_traced_channel(psi: PureState, angles, alpha: float) -> DensityOperat
     return DensityOperator(out)
 
 
+def oracle_entropy(rho: DensityOperator) -> float:
+    """Entropy -sum(p * log2(p)) of a 40-digit mpmath spectrum, with 0*log0 = 0."""
+    import mpmath  # only this oracle needs it, so the module loads without it
+
+    with mpmath.workdps(40):
+        spectrum = mpmath.eighe(mpmath.matrix(rho.matrix.tolist()), eigvals_only=True)
+        return float(-sum(p * mpmath.log(p, 2) for p in spectrum if p > 0))
+
+
 def _half_trig(angles):
     # c1, s1, c2, s2, c3, s3: the cos and sin entries of each qubit's rotation
     o1, o2, o3 = (float(o) for o in angles)

@@ -38,7 +38,10 @@ class PureState:
         n = amps.size
         if n == 0 or n & (n - 1):
             raise NumericValidationError(f"amplitude count {n} is not a power of two")
-        check_unit_norms(amps)
+        if not np.isfinite(amps).all():
+            raise NumericValidationError("state amplitudes hold a non-finite entry")
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, which the check refuses
+            check_unit_norms(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -64,7 +67,7 @@ def check_unit_norms(amplitudes) -> None:
 class DensityOperator:
     """Hermitian, trace-one, positive-semidefinite matrix on ``qubit_count`` qubits.
 
-    A caller-built operator gets the full :func:`check_densities` check.
+    A caller-built operator gets the full :func:`validate_density` check.
     :func:`to_density` and :func:`~wignerqi.lorentz.momentum_traced_channel`
     return operators that checked norms certify instead (see
     :func:`projectors`); :func:`reduced` checks its result again.
@@ -79,7 +82,7 @@ class DensityOperator:
         n = m.shape[0]
         if n == 0 or n & (n - 1):
             raise ValueError(f"dimension {n} is not a power of two")
-        check_densities(m)
+        validate_density(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -88,48 +91,18 @@ class DensityOperator:
         return int(self.matrix.shape[0]).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class DensityDiagnostics:
-    """Violation magnitudes reported by :func:`validate_density`.
+def validate_density(matrices) -> None:
+    """Raise unless every matrix of a stack is a valid density operator.
 
-    Each field holds one value per matrix of the validated stack (a scalar
-    for a single matrix).
+    ``matrices`` is one square matrix or a stack of them along leading axes.
+    A non-finite entry raises before any arithmetic. Each matrix must then be
+    Hermitian within ``HERMITIAN_ATOL``, of trace one within ``TRACE_ATOL``,
+    and have no eigenvalue below ``EIGENVALUE_FLOOR`` (eigenvalues of the
+    Hermitian part, so the check is meaningful even for slightly asymmetric
+    input). The ``NumericValidationError`` gives the three residuals of the
+    first failing matrix, in row-major order.
     """
-
-    hermiticity_violation: float | np.ndarray
-    trace_deviation: float | np.ndarray
-    min_eigenvalue: float | np.ndarray
-
-    @property
-    def ok(self):
-        """Whether each matrix passes every check, with the fields' shape."""
-        return (
-            (self.hermiticity_violation <= HERMITIAN_ATOL)
-            & (np.abs(self.trace_deviation) <= TRACE_ATOL)
-            & (self.min_eigenvalue >= EIGENVALUE_FLOOR)
-        )
-
-    def describe(self) -> str:
-        """The three fields as text; for a stack, the worst value of each and the stack size."""
-        trace = np.ravel(self.trace_deviation)
-        text = (
-            f"hermiticity violation {np.max(self.hermiticity_violation):.3e}, "
-            f"trace deviation {trace[np.abs(trace).argmax()]:.3e}, "
-            f"min eigenvalue {np.min(self.min_eigenvalue):.3e}"
-        )
-        return text if np.ndim(self.trace_deviation) == 0 else f"worst of {trace.size} matrices: {text}"
-
-
-def validate_density(matrix) -> DensityDiagnostics:
-    """Measure how far ``matrix`` is from a valid density operator.
-
-    Accepts any finite square matrix, or a stack of them along leading
-    axes, and reports per matrix the worst Hermiticity violation, the trace
-    deviation from one, and the most negative eigenvalue (of the Hermitian
-    part, so the check is meaningful even for slightly asymmetric input).
-    A non-finite entry raises ``NumericValidationError`` before any arithmetic.
-    """
-    m = np.asarray(matrix, dtype=complex)
+    m = np.asarray(matrices, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -139,23 +112,14 @@ def validate_density(matrix) -> DensityDiagnostics:
     trace_dev = (m.trace(axis1=-2, axis2=-1) - 1.0).real
     hermitian_part = 0.5 * (m + adjoint)
     min_eig = np.linalg.eigvalsh(hermitian_part)[..., 0]  # eigvalsh sorts ascending
-    return DensityDiagnostics(herm, trace_dev, min_eig)
-
-
-def check_densities(matrices) -> None:
-    """Raise unless every matrix of a stack is a valid density operator.
-
-    ``matrices`` is one square matrix or a stack of them along leading axes
-    (see :func:`validate_density`); the ``NumericValidationError`` gives the
-    diagnostics of the first failing matrix, in row-major order.
-    """
-    diag = validate_density(matrices)
-    ok = diag.ok
+    ok = (herm <= HERMITIAN_ATOL) & (np.abs(trace_dev) <= TRACE_ATOL) & (min_eig >= EIGENVALUE_FLOOR)
     if not ok.all():
         first = np.flatnonzero(~ok)[0]
-        worst = DensityDiagnostics(*(float(np.ravel(v)[first]) for v in vars(diag).values()))
         where = f" (matrix {first} of the stack)" if ok.ndim else ""
-        raise NumericValidationError(f"invalid density operator{where}: {worst.describe()}")
+        raise NumericValidationError(
+            f"invalid density operator{where}: hermiticity violation {np.ravel(herm)[first]:.3e}, "
+            f"trace deviation {np.ravel(trace_dev)[first]:.3e}, min eigenvalue {np.ravel(min_eig)[first]:.3e}"
+        )
 
 
 def make_state(tag: str) -> PureState:

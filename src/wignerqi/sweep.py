@@ -79,10 +79,6 @@ CHUNK_POINTS = 512
 MAX_SWEEP_ROWS = 2**20
 
 
-class AngleParseError(ValueError):
-    """An angle or grid token could not be parsed."""
-
-
 _ANGLE_RE = re.compile(r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(pi)?\s*$")
 
 
@@ -90,7 +86,7 @@ def parse_angle(text: str) -> float:
     """Parse '<float>' or '<float>pi' into radians, e.g. '0.375pi', '2pi', '1.5'."""
     match = _ANGLE_RE.match(text)
     if not match:
-        raise AngleParseError(f"malformed angle token {text!r} (expected e.g. '1.5', '0.5pi', '2pi')")
+        raise ValueError(f"malformed angle token {text!r} (expected e.g. '1.5', '0.5pi', '2pi')")
     value = float(match.group(1))
     if match.group(2):
         value *= math.pi
@@ -119,6 +115,8 @@ class SweepGrid:
             raise ValueError(f"grid count must be an integer >= 1, got {self.count!r}")
         if self.stop < self.start:
             raise ValueError(f"grid stop {self.stop!r} is below start {self.start!r}")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError(f"grid span {self.start!r}:{self.stop!r} overflows a float")
         # an integral float such as 3.0 is stored as the int np.linspace needs
         object.__setattr__(self, "count", count)
 
@@ -133,13 +131,13 @@ def parse_axis(text: str):
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise AngleParseError(f"malformed grid token {text!r} (expected start:stop:count)")
+            raise ValueError(f"malformed grid token {text!r} (expected start:stop:count)")
         start = parse_angle(parts[0])
         stop = parse_angle(parts[1])
         try:
             count = int(parts[2])
         except ValueError:
-            raise AngleParseError(f"malformed grid count {parts[2]!r} in {text!r}") from None
+            raise ValueError(f"malformed grid count {parts[2]!r} in {text!r}") from None
         return SweepGrid(start, stop, count)
     return parse_angle(text)
 

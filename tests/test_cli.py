@@ -52,7 +52,7 @@ def test_traced_sweep_with_alpha(tmp_path):
     assert value > 0.0
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     base = ["sweep", "--state", "w", "--out", out]
     assert run(base + ["--measure", "nope"]) == 2
@@ -61,6 +61,9 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(base + ["--measure", "entropy_a", "--tie", "omega2=omega1", "--omega2", "1"]) == 2
     assert run(base + ["--measure", "three_tangle", "--mode", "traced"]) == 2
     assert run(base + ["--measure", "fidelity_w", "--alpha", "1e400", "--omega1", "0"]) == 2  # alpha is traced-only
+    # finite endpoints whose difference overflows are refused before linspace warns
+    assert run(base + ["--measure", "fidelity_w", "--omega1=-1e308:1e308:3", "--tie", "omega2=omega1"]) == 2
+    assert "grid span -1e+308:1e+308 overflows" in capsys.readouterr().err
     assert not os.path.exists(out)
     # argparse-level failures (unknown flag, bad choice) also exit 2
     assert run(["sweep", "--state", "nope", "--measure", "entropy_a", "--out", out]) == 2

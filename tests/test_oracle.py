@@ -7,15 +7,17 @@ from wignerqi.lorentz import (
     momentum_traced_channel,
     product_transform,
 )
+from wignerqi.measures import von_neumann_entropy
 from wignerqi.oracle import (
     haar_random_state,
+    oracle_entropy,
     oracle_partial_trace,
     oracle_three_tangle,
     oracle_traced_channel,
     oracle_transform,
 )
 from wignerqi.qmath import partial_trace
-from wignerqi.states import STATE_TAGS, DensityOperator, PureState, make_state, to_density
+from wignerqi.states import STATE_TAGS, DensityOperator, PureState, make_state, reduced, to_density
 
 
 def random_density(rng, qubit_count):
@@ -135,6 +137,30 @@ class TestOracleThreeTangle:
             amps = np.kron(np.kron(a, b), c)
             psi = PureState(amps / np.linalg.norm(amps))
             assert oracle_three_tangle(psi) < 1e-10
+
+
+class TestOracleEntropy:
+    """von_neumann_entropy against a 40-digit mpmath spectrum."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_mpmath(self):
+        pytest.importorskip("mpmath")
+
+    @pytest.mark.parametrize("qubit_count, samples", [(1, 12), (2, 12), (3, 10)])
+    def test_random_densities(self, rng, qubit_count, samples):
+        for _ in range(samples):
+            rho = random_density(rng, qubit_count)
+            assert abs(von_neumann_entropy(rho) - oracle_entropy(rho)) <= 1e-12
+
+    def test_traced_channel_outputs_and_their_reductions(self, rng):
+        # what entropy_a and avg_capacity read: the channel output and its one- and two-qubit marginals
+        states = [make_state(tag) for tag in STATE_TAGS] + [haar_random_state(3, rng) for _ in range(2)]
+        for psi in states:
+            angles = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
+            rho = momentum_traced_channel(psi, angles, MomentumConfig(rng.uniform(0, np.pi)))
+            for keep in [(0, 1, 2), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
+                part = rho if len(keep) == 3 else reduced(rho, keep)
+                assert abs(von_neumann_entropy(part) - oracle_entropy(part)) <= 1e-12, (keep, angles)
 
 
 def test_haar_random_state_normalized(rng):

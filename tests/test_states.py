@@ -6,7 +6,6 @@ from wignerqi.states import (
     STATE_TAGS,
     DensityOperator,
     PureState,
-    check_densities,
     make_state,
     reduced,
     to_density,
@@ -87,23 +86,33 @@ def test_to_density_is_pure(rng):
 
 
 def test_validate_density_pass_and_fail():
-    assert validate_density(np.diag([0.5, 0.5])).ok
-    assert not validate_density(np.diag([1.0, 1.0])).ok  # trace 2
-    bad = validate_density(np.diag([1.2, -0.2]))
-    assert not bad.ok
-    assert bad.min_eigenvalue == pytest.approx(-0.2)
+    validate_density(np.diag([0.5, 0.5]))
+    with pytest.raises(NumericValidationError, match=r"trace deviation 1\.000e\+00"):
+        validate_density(np.diag([1.0, 1.0]))  # trace 2
+    with pytest.raises(NumericValidationError, match=r"min eigenvalue -2\.000e-01"):
+        validate_density(np.diag([1.2, -0.2]))
 
 
 def test_validate_density_stack_reports_each_matrix():
     stack = np.array([np.diag([0.25, 0.25, 0.25, 0.25])] * 5, dtype=complex)
     stack[3] = np.diag([0.5, 0.2, 0.2, 0.2])  # trace 1.1
-    diag = validate_density(stack)
-    assert diag.ok.tolist() == [True, True, True, False, True]
-    assert diag.trace_deviation[3] == pytest.approx(0.1)
-    assert diag.min_eigenvalue.tolist() == pytest.approx([0.25, 0.25, 0.25, 0.2, 0.25])
-    check_densities(stack[:3])
-    with pytest.raises(NumericValidationError, match=r"matrix 3 of the stack\): .*trace deviation 1\.000e-01"):
-        check_densities(stack)
+    validate_density(stack[:3])
+    validate_density(stack[4])
+    # a single matrix and a stack give the same residuals; the stack names the matrix
+    residuals = "hermiticity violation 0.000e+00, trace deviation 1.000e-01, min eigenvalue 2.000e-01"
+    with pytest.raises(NumericValidationError) as single:
+        validate_density(stack[3])
+    assert str(single.value) == f"invalid density operator: {residuals}"
+    with pytest.raises(NumericValidationError) as whole:
+        validate_density(stack)
+    assert str(whole.value) == f"invalid density operator (matrix 3 of the stack): {residuals}"
+    # leading axes count in row-major order, and the first failing matrix is named
+    stack[4] = np.diag([0.7, 0.2, 0.3, -0.2])  # eigenvalue -0.2
+    stack[1, 0, 1] = 1e-9  # asymmetry
+    with pytest.raises(NumericValidationError, match=r"matrix 2 of the stack\): .*min eigenvalue -2\.000e-01"):
+        validate_density(stack[[0, 2, 4, 3]].reshape(2, 2, 4, 4))
+    with pytest.raises(NumericValidationError, match=r"matrix 1 of the stack\): hermiticity violation 1\.000e-09"):
+        validate_density(stack[:4].reshape(2, 2, 4, 4))
     for bad in (np.ones((5, 4, 3)), np.ones(4)):
         with pytest.raises(ValueError):
             validate_density(bad)
@@ -123,7 +132,7 @@ def test_density_operator_rejects_invalid():
     # a stack names its first failing matrix
     for bad in (negative, asymmetric):
         with pytest.raises(NumericValidationError, match="matrix 1 of the stack"):
-            check_densities(np.array([np.eye(2) / 2, bad, np.diag([1.25, -0.25])]))
+            validate_density(np.array([np.eye(2) / 2, bad, np.diag([1.25, -0.25])]))
 
 
 NON_FINITE = {"inf": np.inf, "-inf": -np.inf, "nan": np.nan, "inf_imag": complex(0, np.inf), "inf_both": complex(np.inf, np.inf)}
@@ -138,11 +147,19 @@ def test_non_finite_entries_refused_before_arithmetic(bad):
     for matrix in (diagonal, off_diagonal, np.array([np.eye(2) / 2, off_diagonal])):
         with pytest.raises(NumericValidationError, match="non-finite"):
             validate_density(matrix)
-        with pytest.raises(NumericValidationError, match="non-finite"):
-            check_densities(matrix)
     for matrix in (diagonal, off_diagonal):
         with pytest.raises(NumericValidationError, match="non-finite"):
             DensityOperator(matrix)
+
+
+BAD_AMPLITUDES = {**NON_FINITE, "overflow": 1e200}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", BAD_AMPLITUDES.values(), ids=BAD_AMPLITUDES.keys())
+def test_bad_amplitudes_refused_without_warnings(bad):
+    with pytest.raises(NumericValidationError):
+        PureState(np.array([bad, 0], dtype=complex))
 
 
 def test_reduced_checks_its_result():
@@ -164,19 +181,3 @@ def test_reduced_wraps_partial_trace():
 def test_reduced_rejects_keep_that_is_not_int_indices(keep):
     with pytest.raises(ValueError, match="keep"):
         reduced(to_density(make_state("w")), keep)
-
-
-def test_describe_reports_the_worst_of_a_stack():
-    stack = np.array([np.diag([0.25, 0.25, 0.25, 0.25])] * 4, dtype=complex)
-    stack[1] = np.diag([0.3, 0.3, 0.3, 0.05])  # trace deviation -0.05
-    stack[2] = np.diag([0.7, 0.2, 0.3, -0.2])  # trace deviation 0.0, eigenvalue -0.2
-    stack[3] = np.diag([0.5, 0.2, 0.2, 0.2])  # trace deviation 0.1
-    stack[0, 0, 1] = 1e-9  # asymmetry
-    assert validate_density(stack).describe() == (
-        "worst of 4 matrices: hermiticity violation 1.000e-09, trace deviation 1.000e-01, min eigenvalue -2.000e-01"
-    )
-    assert validate_density(stack.reshape(2, 2, 4, 4)).describe() == validate_density(stack).describe()
-    # a single matrix keeps the text that check_densities puts in its errors
-    assert validate_density(stack[3]).describe() == (
-        "hermiticity violation 0.000e+00, trace deviation 1.000e-01, min eigenvalue 2.000e-01"
-    )
