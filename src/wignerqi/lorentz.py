@@ -170,16 +170,15 @@ def momentum_traced_channel_batch(amplitudes, rotations, config: MomentumConfig)
     stacks (see :func:`wigner_unitaries`). The reversed branch is rotated by
     their transposes: D(-omega) = D(omega)^T holds bit for bit, since
     negation is exact and the math library's cos is even and its sin odd.
-    Every row of both branches is checked to unit norm, which certifies the
-    mix (see :func:`~wignerqi.states.projectors`); no eigensolve validates it.
+    Both branches take one transform call, as (2n, 8) rows (forward, then
+    reversed) whose checked unit norms certify the mix (see
+    :func:`~wignerqi.states.projectors`); no eigensolve validates it.
     """
-    forward = product_transform_batch(amplitudes, *rotations)
-    check_unit_norms(forward)
-    reversed_branch = product_transform_batch(amplitudes, *(d.mT for d in rotations))
-    check_unit_norms(reversed_branch)
-    w_forward = math.cos(config.alpha) ** 2
-    w_reversed = math.sin(config.alpha) ** 2
-    return w_forward * projectors(forward) + w_reversed * projectors(reversed_branch)
+    n = len(rotations[0])
+    branches = product_transform_batch(amplitudes, *(np.concatenate([d, d.mT]) for d in rotations))
+    check_unit_norms(branches)
+    p = projectors(branches)
+    return math.cos(config.alpha) ** 2 * p[:n] + math.sin(config.alpha) ** 2 * p[n:]
 
 
 def momentum_traced_channel(psi: PureState, angles, config: MomentumConfig) -> DensityOperator:

@@ -150,6 +150,13 @@ def oracle_partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(out)
 
 
+def oracle_pair_capacity(rho_pair: DensityOperator) -> float:
+    """Dense-coding capacity 1 + S(rho_first) - S(rho_pair), unclamped, from the oracle trace and entropy."""
+    if rho_pair.qubit_count != 2:
+        raise ValueError(f"oracle_pair_capacity expects 2 qubits, got {rho_pair.qubit_count}")
+    return 1.0 + oracle_entropy(oracle_partial_trace(rho_pair, (0,))) - oracle_entropy(rho_pair)
+
+
 def oracle_three_tangle(psi: PureState) -> float:
     """Three-tangle via the degree-4 hyperdeterminant of the amplitude cube.
 

@@ -108,9 +108,10 @@ def validate_density(matrices) -> None:
     if not np.isfinite(m).all():
         raise NumericValidationError("density matrix holds a non-finite entry")
     adjoint = m.conj().mT
-    herm = np.abs(m - adjoint).max(axis=(-2, -1))
-    trace_dev = (m.trace(axis1=-2, axis2=-1) - 1.0).real
-    hermitian_part = 0.5 * (m + adjoint)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual fails every tolerance
+        herm = np.abs(m - adjoint).max(axis=(-2, -1))
+        trace_dev = (m.trace(axis1=-2, axis2=-1) - 1.0).real
+        hermitian_part = 0.5 * (m + adjoint)
     min_eig = np.linalg.eigvalsh(hermitian_part)[..., 0]  # eigvalsh sorts ascending
     ok = (herm <= HERMITIAN_ATOL) & (np.abs(trace_dev) <= TRACE_ATOL) & (min_eig >= EIGENVALUE_FLOOR)
     if not ok.all():

@@ -122,7 +122,7 @@ class SweepGrid:
 
     def values(self) -> np.ndarray:
         if self.count == 1:
-            return np.array([self.start])
+            return np.array([self.start], dtype=float)
         return np.linspace(self.start, self.stop, self.count)
 
 

@@ -64,6 +64,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     # finite endpoints whose difference overflows are refused before linspace warns
     assert run(base + ["--measure", "fidelity_w", "--omega1=-1e308:1e308:3", "--tie", "omega2=omega1"]) == 2
     assert "grid span -1e+308:1e+308 overflows" in capsys.readouterr().err
+    # parse_angle reads 1e999 as inf; a fixed angle is refused like a grid endpoint
+    assert run(base + ["--measure", "fidelity_w", "--omega1", "0:1:3", "--omega3", "1e999"]) == 2
+    assert "angle must be finite, got inf" in capsys.readouterr().err
     assert not os.path.exists(out)
     # argparse-level failures (unknown flag, bad choice) also exit 2
     assert run(["sweep", "--state", "nope", "--measure", "entropy_a", "--out", out]) == 2
@@ -129,21 +132,25 @@ def test_numeric_failure_exit_4(tmp_path, monkeypatch):
 
 
 def test_traced_factor_fault_exit_4(tmp_path, monkeypatch):
-    # a branch row off unit norm in the second chunk: exit 4 and no file, as
-    # the factor's norm check is what certifies the traced densities
+    # reversed-branch rows off unit norm in the second chunk: exit 4 and no
+    # file, as the factor's norm check is what certifies the traced densities
     transform = lorentz.product_transform_batch
     calls = []
 
-    def scaled_after_first_chunk(*args):
+    def reversed_half_scaled_in_second_chunk(*args):
+        # one call per chunk: the forward rows, then the reversed ones
         calls.append(None)
-        return transform(*args) * (1.0 + 1e-9 if len(calls) > 2 else 1.0)
+        rows = transform(*args)
+        if len(calls) == 2:
+            rows[len(rows) // 2 :] *= 1.0 + 1e-9
+        return rows
 
-    monkeypatch.setattr(lorentz, "product_transform_batch", scaled_after_first_chunk)
+    monkeypatch.setattr(lorentz, "product_transform_batch", reversed_half_scaled_in_second_chunk)
     out = tmp_path / "x.csv"
     grid = f"0:1:{sweep.CHUNK_POINTS + 3}"
     argv = ["sweep", "--state", "w", "--mode", "traced", "--alpha", "0.25pi", "--omega1", grid]
     assert run(argv + ["--measure", "fidelity_w,concurrence_ab", "--out", str(out)]) == 4
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert os.listdir(tmp_path) == []
 
 

@@ -7,10 +7,11 @@ from wignerqi.lorentz import (
     momentum_traced_channel,
     product_transform,
 )
-from wignerqi.measures import von_neumann_entropy
+from wignerqi.measures import average_capacity, pair_capacity, von_neumann_entropy
 from wignerqi.oracle import (
     haar_random_state,
     oracle_entropy,
+    oracle_pair_capacity,
     oracle_partial_trace,
     oracle_three_tangle,
     oracle_traced_channel,
@@ -161,6 +162,29 @@ class TestOracleEntropy:
             for keep in [(0, 1, 2), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
                 part = rho if len(keep) == 3 else reduced(rho, keep)
                 assert abs(von_neumann_entropy(part) - oracle_entropy(part)) <= 1e-12, (keep, angles)
+
+
+class TestOraclePairCapacity:
+    """pair_capacity and average_capacity against oracle traces and 40-digit entropies."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_mpmath(self):
+        pytest.importorskip("mpmath")
+
+    @pytest.mark.parametrize("tag", STATE_TAGS)
+    def test_traced_channel_outputs(self, rng, tag):
+        # the traced avg_capacity carries the decay claim of presets 3a and 3b
+        for _ in range(6):
+            angles = rng.uniform(-4 * np.pi, 4 * np.pi, 3)
+            rho = momentum_traced_channel(make_state(tag), angles, MomentumConfig(rng.uniform(-np.pi, np.pi)))
+            expected = {}
+            for name, pair in (("pair_ab", (0, 1)), ("pair_ac", (0, 2)), ("pair_bc", (1, 2))):
+                expected[name] = oracle_pair_capacity(oracle_partial_trace(rho, pair))
+                assert abs(pair_capacity(reduced(rho, pair)) - expected[name]) <= 1e-12, (pair, angles)
+            expected["average"] = sum(expected.values()) / 3.0
+            breakdown = average_capacity(rho)
+            for name, value in expected.items():
+                assert abs(getattr(breakdown, name) - value) <= 1e-12, (name, angles)
 
 
 def test_haar_random_state_normalized(rng):

@@ -152,6 +152,20 @@ def test_non_finite_entries_refused_before_arithmetic(bad):
             DensityOperator(matrix)
 
 
+OVERFLOWING = {
+    "residual": [[1e308, 1e308], [-1e308, 0]],
+    "trace": np.diag([1e308, 1e308]),
+    "hermitian_part": [[0.5, 1e308], [1e308, 0.5]],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("matrix", OVERFLOWING.values(), ids=OVERFLOWING.keys())
+def test_finite_entries_whose_arithmetic_overflows_refused_without_warnings(matrix):
+    with pytest.raises(NumericValidationError, match="invalid density operator"):
+        DensityOperator(matrix)
+
+
 BAD_AMPLITUDES = {**NON_FINITE, "overflow": 1e200}
 
 

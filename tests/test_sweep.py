@@ -74,6 +74,12 @@ class TestGrid:
 
     def test_single_point(self):
         np.testing.assert_array_equal(SweepGrid(1.5, 1.5, 1).values(), [1.5])
+        # integer endpoints give float angles at every count, as a scalar axis does; a -0.0 start stays -0.0
+        for count in (1, 2, 3):
+            assert SweepGrid(1, 2, count).values().dtype == np.float64
+        assert math.copysign(1.0, SweepGrid(-0.0, 1.0, 1).values()[0]) == -1.0
+        records = run_sweep("w", ["fidelity_w"], omega1=SweepGrid(1, 2, 1))
+        assert type(records[0].omega1) is float and records[0] == run_sweep("w", ["fidelity_w"], omega1=1)[0]
 
     def test_integral_float_count_is_stored_as_int(self):
         grid = SweepGrid(0.0, 1.0, 3.0)
