@@ -172,26 +172,21 @@ def concurrence(rho: DensityOperator) -> float:
     return float(concurrence_batch(rho.matrix))
 
 
-def one_tangle_batch(projectors) -> np.ndarray:
-    """One-tangles 2*sqrt(det rho_0) of qubit 0 of a (..., 8, 8) stack of validated pure-state projectors."""
-    m = partial_trace(projectors, (0,))
-    a, b, c, d = m[..., 0, 0], m[..., 1, 1], m[..., 0, 1], m[..., 1, 0]
-    # Re(a*b - c*d) in real arithmetic: numpy's complex array product may fuse
-    # multiply-adds, the real ufuncs round each product once
-    det = (a.real * b.real - a.imag * b.imag) - (c.real * d.real - c.imag * d.imag)
-    det = np.clip(det, 0.0, 0.25)  # p(1-p) for a qubit marginal; clamp roundoff
-    return 2.0 * np.sqrt(det)
-
-
 def three_tangle_batch(projectors):
     """Squared tangle components of a (..., 8, 8) stack of validated pure-state projectors.
 
     Returns the arrays ``(one_tangle_sq, c12_sq, c13_sq, three_tangle)``,
     each with the stack's leading shape; see :class:`TangleBreakdown`.
     """
-    ot = one_tangle_batch(projectors)
+    m = partial_trace(projectors, (0,))
+    a, b, c, d = m[..., 0, 0], m[..., 1, 1], m[..., 0, 1], m[..., 1, 0]
+    # Re(a*b - c*d) in real arithmetic: numpy's complex array product may fuse
+    # multiply-adds, the real ufuncs round each product once
+    det = (a.real * b.real - a.imag * b.imag) - (c.real * d.real - c.imag * d.imag)
+    det = np.clip(det, 0.0, 0.25)  # p(1-p) for a qubit marginal; clamp roundoff
+    one_tangle = 2.0 * np.sqrt(det)
     c_first, c_second = concurrence_batch(np.stack([partial_trace(projectors, pair) for pair in ((0, 1), (0, 2))]))
-    one_sq = ot * ot
+    one_sq = one_tangle * one_tangle
     c12_sq = c_first * c_first
     c13_sq = c_second * c_second
     return one_sq, c12_sq, c13_sq, one_sq - c12_sq - c13_sq

@@ -199,6 +199,26 @@ def oracle_concurrence_pure(psi: PureState) -> float:
     return float(2.0 * abs(a[1] * a[2] - a[0] * a[3]))
 
 
+def oracle_concurrence_mixed(rho_pair: DensityOperator) -> float:
+    """Wootters concurrence max(0, l1 - l2 - l3 - l4) of a two-qubit state, from a 40-digit mpmath spectrum.
+
+    The l_k are the square roots, in decreasing order, of the eigenvalues of
+    rho @ rho_tilde, where rho_tilde = (sy x sy) rho* (sy x sy) is built from
+    the Pauli matrix entry by entry (Wootters, PRL 80, 2245, 1998).
+    """
+    if rho_pair.qubit_count != 2:
+        raise ValueError(f"oracle_concurrence_mixed expects 2 qubits, got {rho_pair.qubit_count}")
+    import mpmath  # only the spectral oracles need it, so the module loads without it
+
+    sigma_y = ((0, -1j), (1j, 0))
+    with mpmath.workdps(40):
+        flip = mpmath.matrix([[sigma_y[i >> 1][j >> 1] * sigma_y[i & 1][j & 1] for j in range(4)] for i in range(4)])
+        rho = mpmath.matrix(rho_pair.matrix.tolist())
+        spectrum = mpmath.eig(rho * flip * rho.conjugate() * flip, left=False, right=False)
+        lam = sorted((mpmath.sqrt(max(mpmath.re(mu), 0)) for mu in spectrum), reverse=True)
+        return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
 def haar_random_state(qubit_count: int, rng: np.random.Generator) -> PureState:
     """Haar-uniform pure state: normalized i.i.d. complex Gaussian amplitudes."""
     dim = 2 ** qubit_count

@@ -207,6 +207,9 @@ def _plan(state, measures, *, mode="pure", alpha=0.0, omega1=None, omega2=None, 
     config = MomentumConfig(float(alpha))
     if mode == "pure" and alpha != 0.0:
         raise ValueError(f"alpha {alpha!r} has no effect in pure mode; use the traced mode or alpha 0")
+    for name, value in (("measures", measures), ("ties", ties)):
+        if isinstance(value, str):  # iterating it would read one-character ids
+            raise ValueError(f"{name} must be a sequence of strings, got the string {value!r}")
     measures = tuple(measures)
     if not measures:
         raise ValueError("at least one measure is required")

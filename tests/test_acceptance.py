@@ -16,16 +16,20 @@ from wignerqi.lorentz import (
     audit_w_coefficient_table,
     momentum_traced_channel,
     product_transform,
+    product_transform_batch,
+    wigner_unitaries,
 )
 from wignerqi.measures import (
     average_capacity,
+    average_capacity_batch,
     concurrence,
     fidelity_pure,
     three_tangle,
+    three_tangle_batch,
     von_neumann_entropy,
 )
 from wignerqi.oracle import ghz_coefficients, haar_random_state, oracle_three_tangle, oracle_transform
-from wignerqi.states import PureState, make_state, reduced, to_density
+from wignerqi.states import PureState, check_unit_norms, make_state, projectors, reduced, to_density
 
 TWO_PI = 2 * math.pi
 GRID = np.linspace(0.0, TWO_PI, 257)
@@ -155,25 +159,35 @@ def test_tangle_baselines_both_routes():
 
 def test_local_unitary_invariance_suite(rng):
     tags = ("ghz_plus", "ghz_minus", "w", "w_prime")
-    base_cap = {t: average_capacity(to_density(make_state(t))).average for t in tags}
-    base_tangle = {t: three_tangle(make_state(t)).three_tangle for t in tags}
+    # one (1000, 3) draw takes the same numbers as 1000 successive triples
+    angles = rng.uniform(0.0, TWO_PI, (1000, 3))
+    rotations = [wigner_unitaries(angles[:, q]) for q in range(3)]
     worst_cap = 0.0
     worst_tangle = 0.0
-    for _ in range(1000):
-        angles = WignerAngles(*rng.uniform(0.0, TWO_PI, 3))
-        for tag in tags:
-            boosted = product_transform(make_state(tag), angles)
-            worst_cap = max(
-                worst_cap, abs(average_capacity(to_density(boosted)).average - base_cap[tag])
-            )
-            worst_tangle = max(
-                worst_tangle, abs(three_tangle(boosted).three_tangle - base_tangle[tag])
-            )
-    ok = worst_cap < 1e-9 and worst_tangle < 1e-9
+    pinned = True
+    for tag in tags:
+        psi = make_state(tag)
+        boosted = product_transform_batch(psi.amplitudes, *rotations)
+        check_unit_norms(boosted)
+        rho = projectors(boosted)
+        caps = average_capacity_batch(rho)[3]
+        tangles = three_tangle_batch(rho)[3]
+        worst_cap = max(worst_cap, float(np.abs(caps - average_capacity(to_density(psi)).average).max()))
+        worst_tangle = max(worst_tangle, float(np.abs(tangles - three_tangle(psi).three_tangle).max()))
+        # the scalar API is the one-point case of the same kernels, bit for bit
+        scalar = np.array(
+            [
+                (average_capacity(to_density(out)).average, three_tangle(out).three_tangle)
+                for out in (product_transform(psi, triple) for triple in angles[:100])
+            ]
+        )
+        pinned &= np.array_equal(scalar.view(np.uint64), np.stack([caps[:100], tangles[:100]], axis=1).view(np.uint64))
+    ok = worst_cap < 1e-9 and worst_tangle < 1e-9 and pinned
     _report(
         "local-unitary invariance of capacity and tangle, 1000 random triples x 4 states",
         ok,
-        f"worst capacity dev {worst_cap:.2e}, worst tangle dev {worst_tangle:.2e}",
+        f"worst capacity dev {worst_cap:.2e}, worst tangle dev {worst_tangle:.2e}, "
+        f"scalar API bit-identical on 100 triples: {pinned}",
     )
 
 
@@ -239,11 +253,9 @@ def test_oracle_equivalence(rng):
 
 def test_monogamy_bounds(rng):
     start = time.perf_counter()
-    low, high = math.inf, -math.inf
-    for _ in range(10_000):
-        value = three_tangle(haar_random_state(3, rng)).three_tangle
-        low = min(low, value)
-        high = max(high, value)
+    amplitudes = np.array([haar_random_state(3, rng).amplitudes for _ in range(10_000)])
+    values = three_tangle_batch(projectors(amplitudes))[3]
+    low, high = float(values.min()), float(values.max())
     elapsed = time.perf_counter() - start
     ok = low >= -1e-9 and high <= 1.0 + 1e-9 and elapsed < 30.0
     _report(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,10 @@ from wignerqi.lorentz import (
     momentum_traced_channel,
     product_transform,
 )
-from wignerqi.measures import average_capacity, pair_capacity, von_neumann_entropy
+from wignerqi.measures import average_capacity, concurrence, pair_capacity, von_neumann_entropy
 from wignerqi.oracle import (
     haar_random_state,
+    oracle_concurrence_mixed,
     oracle_entropy,
     oracle_pair_capacity,
     oracle_partial_trace,
@@ -185,6 +188,31 @@ class TestOraclePairCapacity:
             breakdown = average_capacity(rho)
             for name, value in expected.items():
                 assert abs(getattr(breakdown, name) - value) <= 1e-12, (name, angles)
+
+
+class TestOracleConcurrenceMixed:
+    """concurrence of traced-channel pairs against oracle traces and a 40-digit spectrum of rho @ rho_tilde."""
+
+    # Derived, not fitted: the fast spectrum of rho @ rho_tilde errs by at
+    # most its zero floor, 128*eps*mu_max, which is at most 128*eps since
+    # mu_max <= 1 for a density operator. |sqrt(a) - sqrt(b)| <= sqrt(|a - b|)
+    # then puts each lambda_k within sqrt(128*eps), and the 1-Lipschitz
+    # max(0, l1 - l2 - l3 - l4) adds four such errors: 4*sqrt(128*eps) ~ 6.7e-7.
+    TOLERANCE = 4.0 * math.sqrt(128.0 * np.finfo(float).eps)
+
+    @pytest.fixture(autouse=True)
+    def _needs_mpmath(self):
+        pytest.importorskip("mpmath")
+
+    @pytest.mark.parametrize("tag", STATE_TAGS)
+    def test_traced_channel_outputs(self, rng, tag):
+        # the traced concurrences carry the decay claim of presets 4a and 4b
+        for _ in range(6):
+            angles = rng.uniform(-4 * np.pi, 4 * np.pi, 3)
+            rho = momentum_traced_channel(make_state(tag), angles, MomentumConfig(rng.uniform(-np.pi, np.pi)))
+            for pair in ((0, 1), (0, 2), (1, 2)):
+                expected = oracle_concurrence_mixed(oracle_partial_trace(rho, pair))
+                assert abs(concurrence(reduced(rho, pair)) - expected) <= self.TOLERANCE, (pair, angles)
 
 
 def test_haar_random_state_normalized(rng):

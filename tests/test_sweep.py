@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -238,7 +239,7 @@ class TestRunSweep:
             psi = product_transform(make_state("ghz_plus"), (r.omega1, r.omega2, r.omega3))
             assert r.value == fidelity_pure(psi, make_state("ghz_minus"))
 
-    def test_rejections(self):
+    def test_rejections(self, tmp_path):
         with pytest.raises(ValueError, match="unknown measure"):
             run_sweep("w", ["sparkle"], omega1=0.0)
         with pytest.raises(ValueError, match="unknown state"):
@@ -255,6 +256,17 @@ class TestRunSweep:
             run_sweep("w", [])
         with pytest.raises(ValueError, match="no effect in pure mode"):
             run_sweep("w", ["fidelity_w"], alpha=0.4)
+        # a bare string is refused whole, not split into one-character ids
+        grid = SweepGrid(0, 1, 3)
+        for measure_ids, ties, message in (
+            ("fidelity_w", (), "measures must be a sequence of strings, got the string 'fidelity_w'"),
+            (["fidelity_w"], "omega2=omega1", "ties must be a sequence of strings, got the string 'omega2=omega1'"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run_sweep("w", measure_ids, omega1=grid, ties=ties)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sweep.write_sweep(tmp_path / "bare.csv", "w", measure_ids, omega1=grid, ties=ties)
+        assert list(tmp_path.iterdir()) == []
 
     def test_takes_no_branch_convention(self, tmp_path):
         # the traced channel always negates the reversed branch's angles
