@@ -286,16 +286,15 @@ class TestTangle:
                 out = product_transform(make_state(tag), random_angles(rng))
                 assert abs(three_tangle(out).three_tangle - base) < 1e-9
 
-    def test_matches_hyperdeterminant_oracle(self, rng):
+    def test_matches_hyperdeterminant_oracle(self, haar_states):
         # Dual-route agreement on a large random sample, plus monogamy and
         # component bounds, over one stack of projectors.
-        states = [haar_random_state(3, rng) for _ in range(10_000)]
-        components = np.stack(three_tangle_batch(projectors(np.array([psi.amplitudes for psi in states]))))
+        components = np.stack(three_tangle_batch(projectors(np.array([psi.amplitudes for psi in haar_states]))))
         one_sq, c12_sq, c13_sq, tau = components
-        direct = np.array([oracle_three_tangle(psi) for psi in states])
+        direct = np.array([oracle_three_tangle(psi) for psi in haar_states])
         assert np.abs(tau - direct).max() < 1e-8
         assert ((components >= -1e-9) & (components <= 1.0 + 1e-9)).all()
         assert (tau == one_sq - c12_sq - c13_sq).all()
         # the scalar wrapper is the one-state case of the kernel, bit for bit
-        scalar = np.array([dataclasses.astuple(three_tangle(psi)) for psi in states[:500]])
+        scalar = np.array([dataclasses.astuple(three_tangle(psi)) for psi in haar_states[:500]])
         assert np.array_equal(scalar.T.view(np.uint64), components[:, :500].view(np.uint64))

@@ -648,6 +648,44 @@ class TestStreamedFigures:
             assert write_csv(records, listed) == count
             assert path.read_bytes() == listed.read_bytes()
 
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    def test_percent_format_equals_format_spec(self, value):
+        # the streamed rows render a column with "%.12g", write_csv with format(..., ".12g")
+        assert "%.12g" % value == format(value, ".12g")
+
+    def test_streamed_bytes_equal_write_csv_on_edge_values(self, tmp_path, monkeypatch):
+        edges = np.array([-0.0, 5e-324, 1e16, 1e-5, 9.9999999999995e-5, 123456789012.5, -1.5, math.inf, math.nan])
+
+        def edge_column(amplitudes, target):
+            # a different rotation of the edge values for each target
+            return np.roll(np.resize(edges, len(amplitudes)), int(np.abs(target).argmax()))
+
+        monkeypatch.setattr(sweep, "fidelity_pure_batch", edge_column)
+        # two measures share one file, and the grid spans a chunk boundary
+        options = dict(omega1=SweepGrid(-1.0, 1.0, sweep.CHUNK_POINTS + 3), omega2=-0.0, omega3=1e-5)
+        streamed, listed = tmp_path / "streamed.csv", tmp_path / "listed.csv"
+        count = sweep.write_sweep(streamed, "w", ["fidelity_w", "fidelity_gplus"], **options)
+        assert write_csv(run_sweep("w", ["fidelity_w", "fidelity_gplus"], **options), listed) == count
+        assert count == 2 * (sweep.CHUNK_POINTS + 3)
+        assert streamed.read_bytes() == listed.read_bytes()
+        assert b",0,1e-05,fidelity_w,0\n" in streamed.read_bytes()  # -0.0 is written as 0
+
+    @pytest.mark.parametrize(("name", "calls"), [("1a", 1), ("4a", 5)])
+    def test_grid_rotations_are_shared_within_one_call_only(self, tmp_path, monkeypatch, name, calls):
+        # 1a: both free axes read the same 129-node grid; 4a: the 257-node
+        # grid and the four omega3 values, shared by its eight sweeps
+        counted = []
+
+        def counting(omegas):
+            counted.append(len(omegas))
+            return lorentz.wigner_unitaries(omegas)
+
+        monkeypatch.setattr(sweep, "wigner_unitaries", counting)
+        for _ in range(2):
+            counted.clear()
+            run_figure(name, tmp_path)
+            assert len(counted) == calls
+
     @pytest.mark.parametrize("name", ["1a", "1b", "2a", "2b", "1c", "2c"])
     def test_batched_fidelity_text_equals_per_point_vdot(self, tmp_path, name, per_point_amplitudes):
         # Recompute every row the per-point way: one transform and one np.vdot per point.
