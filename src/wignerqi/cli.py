@@ -14,7 +14,6 @@ from .states import STATE_TAGS
 from .sweep import (
     AXES,
     FIGURE_NAMES,
-    MODES,
     parse_angle,
     parse_axis,
     run_figure,
@@ -36,8 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="general sweep over angle grids")
     sweep.add_argument("--state", required=True, choices=STATE_TAGS)
-    sweep.add_argument("--mode", default="pure", choices=MODES)
-    sweep.add_argument("--alpha", default="0", help="momentum superposition weight, traced mode only, e.g. 0.25pi")
+    sweep.add_argument("--alpha", default="0", help="traced-channel weight, e.g. 0.25pi; 0 is the pure transform")
     sweep.add_argument("--omega1", default=None, help="angle or grid start:stop:count, e.g. 0:2pi:257")
     sweep.add_argument("--omega2", default=None)
     sweep.add_argument("--omega3", default=None)
@@ -60,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_sweep_command(args) -> list:
     measures = [m for chunk in args.measure for m in chunk.split(",") if m]
     axes = {axis: parse_axis(getattr(args, axis)) for axis in AXES if getattr(args, axis) is not None}
-    options = dict(mode=args.mode, alpha=parse_angle(args.alpha), ties=args.tie, **axes)
+    options = dict(alpha=parse_angle(args.alpha), ties=args.tie, **axes)
     return [(args.out, write_sweep(args.out, args.state, measures, **options))]
 
 

@@ -66,8 +66,6 @@ _PAIRS = {
     "concurrence_bc": (1, 2),
 }
 
-MODES = ("pure", "traced")
-
 # Grid points evaluated as one batch. run_figure streams each batch to disk,
 # so this also bounds its working memory; of 256-2048, 512 ran the 129x129
 # surfaces fastest.
@@ -192,21 +190,16 @@ class _Plan(NamedTuple):
 
     state: str
     measures: tuple[str, ...]
-    mode: str
-    config: MomentumConfig  # alpha, checked when planned
+    config: MomentumConfig  # alpha, checked when planned; 0 is the pure transform
     shape: tuple[int, ...]  # grid size of each free axis, in AXES order
     grids: tuple[np.ndarray, ...]  # grid values of each free axis
     sources: tuple[int, int, int]  # the free axis that omega1..omega3 each read
 
 
-def _plan(state, measures, *, mode="pure", alpha=0.0, omega1=None, omega2=None, omega3=None, ties=()) -> _Plan:
+def _plan(state, measures, *, alpha=0.0, omega1=None, omega2=None, omega3=None, ties=()) -> _Plan:
     if state not in STATE_TAGS:
         raise ValueError(f"unknown state {state!r}; expected one of {STATE_TAGS}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     config = MomentumConfig(float(alpha))
-    if mode == "pure" and alpha != 0.0:
-        raise ValueError(f"alpha {alpha!r} has no effect in pure mode; use the traced mode or alpha 0")
     for name, value in (("measures", measures), ("ties", ties)):
         if isinstance(value, str):  # iterating it would read one-character ids
             raise ValueError(f"{name} must be a sequence of strings, got the string {value!r}")
@@ -219,8 +212,8 @@ def _plan(state, measures, *, mode="pure", alpha=0.0, omega1=None, omega2=None, 
     duplicates = sorted({m for m in measures if measures.count(m) > 1})
     if duplicates:
         raise ValueError(f"duplicate measure ids {duplicates}; request each measure once")
-    if mode == "traced" and "three_tangle" in measures:
-        raise ValueError("three_tangle is undefined for the traced (mixed) mode; request it in pure mode")
+    if config.alpha != 0.0 and "three_tangle" in measures:
+        raise ValueError(f"three_tangle is undefined for the mixed states of alpha {config.alpha!r}; use alpha 0")
 
     roots = _resolve_ties(ties)
     specs = dict(zip(AXES, (omega1, omega2, omega3)))
@@ -239,7 +232,7 @@ def _plan(state, measures, *, mode="pure", alpha=0.0, omega1=None, omega2=None, 
         for axis in free_axes
     )
     sources = tuple(free_axes.index(roots.get(axis, axis)) for axis in AXES)
-    return _Plan(state, measures, mode, config, shape, grids, sources)
+    return _Plan(state, measures, config, shape, grids, sources)
 
 
 def _column(measure: str, rho) -> np.ndarray:
@@ -260,10 +253,10 @@ def _chunks(plan: _Plan, rotations):
     Yields ``(indices, values)`` per block: ``indices`` holds each point's
     grid index on every free axis, and ``values`` maps each measure to its n
     values as a float64 array.
-    Every measure is a kernel over the whole block. Pure-mode fidelities read
-    the (n, 8) amplitudes; every other measure reads an (n, 8, 8) density
-    stack, which is the block's traced-channel output or, in pure mode, the
-    projectors of its amplitudes (built only if some measure reads them).
+    Every measure is a kernel over the whole block. At alpha 0 the block is
+    the pure transform: fidelities read its (n, 8) amplitudes, and every other
+    measure reads their projectors (built only if some measure reads them).
+    At any other alpha every measure reads the block's traced-channel output.
     Every transformed row is checked to unit norm, which certifies every
     density formed from it (see :func:`~wignerqi.states.projectors`), so no
     stack is eigensolved to validate it.
@@ -275,7 +268,7 @@ def _chunks(plan: _Plan, rotations):
     for start in range(0, total, CHUNK_POINTS):
         indices = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, total)), plan.shape)
         point_rotations = [rotations[s][indices[s]] for s in plan.sources]
-        if plan.mode == "pure":
+        if plan.config.alpha == 0.0:
             amps = product_transform_batch(psi0.amplitudes, *point_rotations)
             check_unit_norms(amps)
             values = {m: fidelity_pure_batch(amps, t) for m, t in targets.items()}
@@ -292,19 +285,19 @@ def _chunks(plan: _Plan, rotations):
 def run_sweep(state: str, measures, **options) -> list[MeasureRecord]:
     """Evaluate measures over an angle grid and return records in grid order.
 
-    The options and their defaults are ``mode="pure"``, ``alpha=0.0``,
+    The options and their defaults are ``alpha=0.0``,
     ``omega1=omega2=omega3=None`` and ``ties=()``.
     Each axis is a fixed angle in radians, a :class:`SweepGrid`, or ``None``
     (the fixed angle 0). ``ties`` holds ``"follower=leader"`` strings such as
     ``"omega2=omega1"``; a follower copies its leader's current value, so a
     value given for it raises ``ValueError``. Free axes iterate row-major
-    with omega1 outermost. In ``traced`` mode the state is sent through the
-    momentum-superposed channel at weight ``alpha`` before measuring; the
-    pure mode refuses a nonzero ``alpha``, and ``three_tangle`` is only
-    defined for the pure mode. Each measure may be named once, ``alpha``
-    must be finite, and sweeps of more than ``MAX_SWEEP_ROWS`` rows (grid
-    points x measures) are refused with ``ValueError`` before anything is
-    allocated.
+    with omega1 outermost. ``alpha`` chooses the model: at 0 (or -0.0) each
+    point is the boosted pure state; any other ``alpha`` sends it through the
+    momentum-traced channel at that branch weight before measuring, and
+    refuses ``three_tangle``, which is undefined for the mixed output. Each
+    measure may be named once, ``alpha`` must be finite, and sweeps of more
+    than ``MAX_SWEEP_ROWS`` rows (grid points x measures) are refused with
+    ``ValueError`` before anything is allocated.
     """
     plan = _plan(state, measures, **options)
     records = []
@@ -466,11 +459,12 @@ _SLICES = {
     "1c": ("ghz_plus", ("fidelity_gplus", "fidelity_gminus")),
     "2c": ("w", ("fidelity_w", "fidelity_wprime")),
 }
+# each family: state, its pure (alpha 0) measures, its traced measures
 _FAMILIES = {
-    "3a": ("ghz_plus", "capacity"),
-    "3b": ("w", "capacity"),
-    "4a": ("ghz_plus", "tangle"),
-    "4b": ("w", "tangle"),
+    "3a": ("ghz_plus", ("avg_capacity",), ("avg_capacity",)),
+    "3b": ("w", ("avg_capacity",), ("avg_capacity",)),
+    "4a": ("ghz_plus", ("three_tangle",), tuple(_PAIRS)),
+    "4b": ("w", ("three_tangle",), tuple(_PAIRS)),
 }
 
 FIGURE_NAMES = ("1a", "1b", "1c", "2a", "2b", "2c", "3a", "3b", "4a", "4b")
@@ -486,17 +480,12 @@ def _figure_sweeps(name: str) -> list[tuple[str, _Plan]]:
         state, measures = _SLICES[name]
         return [("", _plan(state, measures, omega1=_GRID_1D, ties=("omega2=omega1", "omega3=omega1")))]
     if name in _FAMILIES:
-        state, family = _FAMILIES[name]
-        pure_measures = ["avg_capacity"] if family == "capacity" else ["three_tangle"]
-        traced_measures = (
-            ["avg_capacity"] if family == "capacity" else ["concurrence_ab", "concurrence_ac", "concurrence_bc"]
-        )
-        sweeps = []
-        for omega3 in _OMEGA3_FAMILY:
-            axes = dict(omega1=_GRID_1D, omega3=omega3, ties=pair)
-            sweeps.append((".pure", _plan(state, pure_measures, **axes)))
-            sweeps.append((".traced", _plan(state, traced_measures, mode="traced", alpha=_TRACED_ALPHA, **axes)))
-        return sweeps
+        state, pure, traced = _FAMILIES[name]
+        return [
+            (suffix, _plan(state, measures, alpha=alpha, omega1=_GRID_1D, omega3=omega3, ties=pair))
+            for omega3 in _OMEGA3_FAMILY
+            for suffix, measures, alpha in ((".pure", pure, 0.0), (".traced", traced, _TRACED_ALPHA))
+        ]
     raise ValueError(f"unknown figure preset {name!r}; expected one of {FIGURE_NAMES}")
 
 
@@ -507,10 +496,11 @@ def run_figure(name: str, out_dir) -> list[tuple[Path, int]]:
     grid with omega2 tied to omega1. Slice presets (1c, 2c) tie all three
     angles and sweep 257 points. Family presets (3a, 3b, 4a, 4b) sweep the
     tied pair over 257 points for each fixed omega3 in {0, pi/3, pi/4, pi/6},
-    in both pure mode (suffix '.pure'; constant in the angles by local-unitary
-    invariance) and the momentum-traced mode at alpha = pi/4 (suffix
-    '.traced'; angle-dependent). The traced runs of 4a/4b report pairwise
-    concurrences since the three-tangle is undefined for mixed states.
+    at alpha 0, the pure transform (suffix '.pure'; constant in the angles by
+    local-unitary invariance), and through the momentum-traced channel at
+    alpha = pi/4 (suffix '.traced'; angle-dependent). The traced runs of 4a/4b
+    report pairwise concurrences since the three-tangle is undefined for mixed
+    states.
 
     Rows are streamed to disk chunk by chunk, with the same bytes that
     ``write_csv`` gives the records of each sweep with its suffixed measure

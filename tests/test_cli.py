@@ -38,7 +38,6 @@ def test_traced_sweep_with_alpha(tmp_path):
         [
             "sweep",
             "--state", "w",
-            "--mode", "traced",
             "--alpha", "0.25pi",
             "--omega1", "0.5pi",
             "--omega2", "0.5pi",
@@ -59,8 +58,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(base + ["--measure", "entropy_a", "--omega1", "2qi"]) == 2
     assert run(base + ["--measure", "entropy_a", "--tie", "omega2-omega1"]) == 2
     assert run(base + ["--measure", "entropy_a", "--tie", "omega2=omega1", "--omega2", "1"]) == 2
-    assert run(base + ["--measure", "three_tangle", "--mode", "traced"]) == 2
-    assert run(base + ["--measure", "fidelity_w", "--alpha", "1e400", "--omega1", "0"]) == 2  # alpha is traced-only
+    assert run(base + ["--measure", "three_tangle", "--alpha", "0.3pi"]) == 2
+    assert "three_tangle is undefined" in capsys.readouterr().err
+    assert run(base + ["--measure", "fidelity_w", "--alpha", "1e400", "--omega1", "0"]) == 2
+    assert "alpha must be finite, got inf" in capsys.readouterr().err
     # finite endpoints whose difference overflows are refused before linspace warns
     assert run(base + ["--measure", "fidelity_w", "--omega1=-1e308:1e308:3", "--tie", "omega2=omega1"]) == 2
     assert "grid span -1e+308:1e+308 overflows" in capsys.readouterr().err
@@ -85,9 +86,31 @@ def test_duplicate_measures_exit_2(tmp_path, capsys):
 def test_convention_flag_exit_2(tmp_path, capsys):
     # the traced channel has one branch rule, so there is no flag to choose one
     out = tmp_path / "x.csv"
-    argv = ["sweep", "--state", "w", "--mode", "traced", "--alpha", "0.3pi", "--omega1", "0.3"]
+    argv = ["sweep", "--state", "w", "--alpha", "0.3pi", "--omega1", "0.3"]
     assert run(argv + ["--convention", "same", "--measure", "entropy_a", "--out", str(out)]) == 2
     assert "--convention" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mode_flag_exit_2(tmp_path, capsys):
+    # --alpha alone chooses the model: 0 is the pure transform, any other value the traced channel
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--state", "w", "--alpha", "0.3pi", "--omega1", "0.3", "--measure", "entropy_a"]
+    for mode in ("traced", "pure"):
+        assert run(argv + ["--mode", mode, "--out", str(out)]) == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_three_tangle_only_at_alpha_zero(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--state", "ghz_plus", "--omega1", "0:1:3", "--measure", "three_tangle", "--out", str(out)]
+    for alpha in ("0", "-0", "0pi"):
+        assert run(argv + ["--alpha", alpha]) == 0
+        assert len(out.read_text().splitlines()) == 4
+        out.unlink()
+    assert run(argv + ["--alpha", "0.3pi"]) == 2
+    assert "three_tangle is undefined" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -148,7 +171,7 @@ def test_traced_factor_fault_exit_4(tmp_path, monkeypatch):
     monkeypatch.setattr(lorentz, "product_transform_batch", reversed_half_scaled_in_second_chunk)
     out = tmp_path / "x.csv"
     grid = f"0:1:{sweep.CHUNK_POINTS + 3}"
-    argv = ["sweep", "--state", "w", "--mode", "traced", "--alpha", "0.25pi", "--omega1", grid]
+    argv = ["sweep", "--state", "w", "--alpha", "0.25pi", "--omega1", grid]
     assert run(argv + ["--measure", "fidelity_w,concurrence_ab", "--out", str(out)]) == 4
     assert len(calls) == 2
     assert os.listdir(tmp_path) == []
@@ -162,8 +185,8 @@ SWEEP_CASES = {
         ("ghz_plus", ["fidelity_gminus", "three_tangle"], {}),
     ),
     "traced_opposite": (
-        ["--state", "w", "--mode", "traced", "--alpha", "0.3pi", "--measure", ",".join(TRACED_FOUR)],
-        ("w", TRACED_FOUR, dict(mode="traced", alpha=0.3 * np.pi)),
+        ["--state", "w", "--alpha", "0.3pi", "--measure", ",".join(TRACED_FOUR)],
+        ("w", TRACED_FOUR, dict(alpha=0.3 * np.pi)),
     ),
 }
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wignerqi
@@ -17,6 +17,7 @@ from wignerqi.lorentz import (
     WignerAngles,
     audit_w_coefficient_table,
     momentum_traced_channel,
+    momentum_traced_channel_batch,
     product_transform,
     product_transform_batch,
     w_variant_coefficients,
@@ -25,8 +26,8 @@ from wignerqi.lorentz import (
 from wignerqi.measures import concurrence
 from wignerqi.oracle import ghz_coefficients, w_coefficients
 from wignerqi.qmath import partial_trace
-from wignerqi.states import STATE_TAGS, PureState, make_state, reduced, to_density, validate_density
-from wignerqi.sweep import AXES, CHUNK_POINTS, MEASURE_IDS, MODES, run_sweep
+from wignerqi.states import STATE_TAGS, PureState, make_state, projectors, reduced, to_density, validate_density
+from wignerqi.sweep import AXES, CHUNK_POINTS, MEASURE_IDS, run_sweep
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -293,6 +294,32 @@ class TestMomentumTracedChannel:
             rho.matrix, to_density(product_transform(psi, angles)).matrix, atol=1e-15
         )
 
+    @pytest.mark.parametrize("n", [1, 257, CHUNK_POINTS])
+    def test_alpha_zero_stack_is_the_pure_projector_stack_bit_for_bit(self, rng, n):
+        # the sweep takes the pure route at alpha 0 (or -0.0) on the strength of
+        # this identity; + 0.0 maps the signed zeros in which the stacks differ to +0.0
+        rotations = [wigner_unitaries(rng.uniform(-4 * np.pi, 4 * np.pi, n)) for _ in range(3)]
+        for state in STATE_TAGS:
+            amplitudes = make_state(state).amplitudes
+            pure = projectors(product_transform_batch(amplitudes, *rotations)) + 0.0
+            for alpha in (0.0, -0.0):
+                traced = momentum_traced_channel_batch(amplitudes, rotations, MomentumConfig(alpha)) + 0.0
+                assert np.array_equal(traced.view(np.uint64), pure.view(np.uint64)), (state, alpha)
+
+    @settings(max_examples=50, deadline=None)
+    @given(alpha=st.floats(allow_nan=False, allow_infinity=False))
+    @example(alpha=0.0)
+    @example(alpha=-0.0)
+    @example(alpha=5e-324)
+    def test_sweep_measures_three_tangle_exactly_at_alpha_zero(self, alpha):
+        # alpha chooses the model: 0 is the pure transform, any other alpha a mixed state
+        if alpha == 0.0:
+            (record,) = run_sweep("ghz_plus", ["three_tangle"], alpha=alpha, omega1=0.4)
+            assert record.value == pytest.approx(1.0, rel=0, abs=VALUE_ATOL)
+        else:
+            with pytest.raises(ValueError, match="three_tangle is undefined"):
+                run_sweep("ghz_plus", ["three_tangle"], alpha=alpha, omega1=0.4)
+
     def test_alpha_right_angle_is_reversed_branch(self, rng):
         psi = make_state("ghz_plus")
         angles = random_angles(rng)
@@ -410,19 +437,17 @@ class TestTracedChannelIdentities:
     @settings(max_examples=60, deadline=None)
     @given(
         state=st.sampled_from(STATE_TAGS),
-        mode=st.sampled_from(MODES),
-        alpha=alphas_st,
+        alpha=st.one_of(st.just(0.0), alphas_st),
         angles=triples_st,
         axis=st.sampled_from(AXES),
     )
-    def test_two_pi_periodicity(self, state, mode, alpha, angles, axis):
+    def test_two_pi_periodicity(self, state, alpha, angles, axis):
         # D(omega + 2pi) = -D(omega) flips only the sign of a branch, which no
-        # measure sees
-        options = dict(mode=mode, alpha=alpha if mode == "traced" else 0.0)
-        measures = [m for m in MEASURE_IDS if mode == "pure" or m != "three_tangle"]
+        # measure sees; alpha 0 is the pure transform, the only one with a three-tangle
+        measures = [m for m in MEASURE_IDS if alpha == 0.0 or m != "three_tangle"]
         base = dict(zip(AXES, angles))
         shifted = {**base, axis: base[axis] + 2 * math.pi}
-        records = run_sweep(state, measures, **base, **options)
-        for a, b in zip(records, run_sweep(state, measures, **shifted, **options)):
+        records = run_sweep(state, measures, alpha=alpha, **base)
+        for a, b in zip(records, run_sweep(state, measures, alpha=alpha, **shifted)):
             atol = CONCURRENCE_ATOL if a.measure.startswith("concurrence") else VALUE_ATOL
             assert b.value == pytest.approx(a.value, rel=0, abs=atol), a.measure

@@ -196,7 +196,6 @@ class TestRunSweep:
 
     def test_deterministic(self):
         kwargs = dict(
-            mode="traced",
             alpha=math.pi / 4,
             omega1=SweepGrid(0.0, TWO_PI, 9),
             omega3=0.7,
@@ -210,7 +209,6 @@ class TestRunSweep:
         records = run_sweep(
             "w",
             ["fidelity_w", "avg_capacity", "concurrence_ab"],
-            mode="traced",
             alpha=0.6,
             omega1=SweepGrid(0.0, TWO_PI, 21),
             omega2=SweepGrid(0.0, TWO_PI, 5),
@@ -245,7 +243,7 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="unknown state"):
             run_sweep("bell", ["entropy_a"])
         with pytest.raises(ValueError, match="three_tangle is undefined"):
-            run_sweep("w", ["three_tangle"], mode="traced", alpha=0.5)
+            run_sweep("w", ["three_tangle"], alpha=0.5)
         with pytest.raises(ValueError, match="tied twice"):
             run_sweep("w", ["entropy_a"], ties=("omega2=omega1", "omega2=omega3"))
         with pytest.raises(ValueError, match="cycle"):
@@ -254,8 +252,6 @@ class TestRunSweep:
             run_sweep("w", ["entropy_a"], ties=[("omega2", "omega1")])
         with pytest.raises(ValueError, match="at least one measure"):
             run_sweep("w", [])
-        with pytest.raises(ValueError, match="no effect in pure mode"):
-            run_sweep("w", ["fidelity_w"], alpha=0.4)
         # a bare string is refused whole, not split into one-character ids
         grid = SweepGrid(0, 1, 3)
         for measure_ids, ties, message in (
@@ -269,20 +265,22 @@ class TestRunSweep:
         assert list(tmp_path.iterdir()) == []
 
     def test_takes_no_branch_convention(self, tmp_path):
-        # the traced channel always negates the reversed branch's angles
-        with pytest.raises(TypeError, match="convention"):
-            run_sweep("w", ["entropy_a"], mode="traced", alpha=0.5, omega1=0.3, convention="opposite")
-        with pytest.raises(TypeError, match="convention"):
-            sweep.write_sweep(tmp_path / "x.csv", "w", ["entropy_a"], mode="traced", alpha=0.5, convention="opposite")
+        # the traced channel always negates the reversed branch's angles, and
+        # alpha alone chooses between it and the pure transform
+        for keyword, value in (("convention", "opposite"), ("mode", "traced"), ("mode", "pure")):
+            with pytest.raises(TypeError, match=keyword):
+                run_sweep("w", ["entropy_a"], alpha=0.5, omega1=0.3, **{keyword: value})
+            with pytest.raises(TypeError, match=keyword):
+                sweep.write_sweep(tmp_path / "x.csv", "w", ["entropy_a"], alpha=0.5, **{keyword: value})
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
     def test_plan_rejects_a_non_finite_traced_alpha(self, tmp_path, alpha):
         # refused while planning, before any chunk is evaluated or file staged
         with pytest.raises(ValueError, match="alpha must be finite"):
-            sweep._plan("w", ["entropy_a"], mode="traced", alpha=alpha)
+            sweep._plan("w", ["entropy_a"], alpha=alpha)
         with pytest.raises(ValueError, match="alpha must be finite"):
-            sweep.write_sweep(tmp_path / "inf.csv", "w", ["entropy_a"], mode="traced", alpha=alpha, omega1=0.3)
+            sweep.write_sweep(tmp_path / "inf.csv", "w", ["entropy_a"], alpha=alpha, omega1=0.3)
         assert list(tmp_path.iterdir()) == []
 
     def test_rejects_a_value_on_a_tied_axis(self, tmp_path):
@@ -326,8 +324,8 @@ class TestRunSweep:
         assert records[-2].value == fidelity_pure(psi, make_state("ghz_minus"))
 
     def test_density_operator_only_for_measures_that_read_one(self, monkeypatch):
-        # Pure mode builds the projector stack of a chunk only for measures
-        # that read it, and then once for all of them.
+        # At alpha 0 a chunk's projector stack is built only for measures that
+        # read it, and then once for all of them.
         stacks = []
 
         def counting(amplitudes):
@@ -348,7 +346,7 @@ class TestRunSweep:
 
     def test_batched_density_checks(self, monkeypatch):
         # no density stack is eigensolved: the checked norms of its factors
-        # certify it, so a corrupted factor (a norm off, or a NaN) stops both modes
+        # certify it, so a corrupted factor (a norm off, or a NaN) stops both routes
         grid = SweepGrid(0.0, TWO_PI, 9)
         transform = lorentz.product_transform_batch
 
@@ -363,7 +361,7 @@ class TestRunSweep:
         for fault in (scaled, with_nan):
             monkeypatch.setattr(lorentz, "product_transform_batch", fault)
             with pytest.raises(NumericValidationError, match="norm"):
-                run_sweep("w", ["fidelity_w", "entropy_a"], mode="traced", alpha=0.5, omega1=grid)
+                run_sweep("w", ["fidelity_w", "entropy_a"], alpha=0.5, omega1=grid)
         monkeypatch.setattr(sweep, "product_transform_batch", with_nan)
         with pytest.raises(NumericValidationError, match="norm nan"):
             run_sweep("w", ["fidelity_w", "entropy_a"], omega1=grid)
@@ -402,7 +400,7 @@ class TestStackedEqualsPerPoint:
         [("w", math.pi / 4), ("ghz_plus", 0.6), ("w_prime", math.pi / 4), ("ghz_minus", 0.6)],
     )
     def test_traced(self, rng, state, alpha):
-        records = run_sweep(state, TRACED_MEASURES, mode="traced", alpha=alpha, **self._grid_axes(rng))
+        records = run_sweep(state, TRACED_MEASURES, alpha=alpha, **self._grid_axes(rng))
         assert len(records) == len(TRACED_MEASURES) * (sweep.CHUNK_POINTS + 3)
         config = MomentumConfig(alpha)
         for point in range(0, len(records), len(TRACED_MEASURES)):
@@ -477,19 +475,17 @@ class TestDensityCertificate:
     @settings(max_examples=100, deadline=None)
     @given(
         state=st.sampled_from(STATE_TAGS),
-        alpha=st.floats(min_value=-math.pi, max_value=math.pi),
-        traced=st.booleans(),
+        alpha=st.one_of(st.just(0.0), st.floats(min_value=-math.pi, max_value=math.pi)),
         angles=st.lists(st.floats(min_value=-4 * math.pi, max_value=4 * math.pi), min_size=3, max_size=3),
     )
-    def test_stacks_pass_the_full_check(self, state, alpha, traced, angles):
+    def test_stacks_pass_the_full_check(self, state, alpha, angles):
+        # alpha 0 (or -0.0) takes the pure route, which alone measures the three-tangle
+        traced = alpha != 0.0
         axes = dict(zip(("omega1", "omega2", "omega3"), angles))
-        if traced:
-            options = dict(measures=TRACED_MEASURES, mode="traced", alpha=alpha)
-        else:
-            options = dict(measures=sweep.MEASURE_IDS)
+        measures = TRACED_MEASURES if traced else sweep.MEASURE_IDS
         with pytest.MonkeyPatch.context() as patch:
             counts = check_formed_densities(patch)
-            run_sweep(state, **options, **axes)
+            run_sweep(state, measures, alpha=alpha, **axes)
         assert counts["wignerqi.measures.partial_trace"] > 0 and counts["wignerqi.sweep.partial_trace"] == 4
         assert counts["wignerqi.sweep.momentum_traced_channel_batch"] == traced
 
@@ -627,17 +623,17 @@ class TestStreamedFigures:
 
     def test_streamed_family_equals_grouped_records(self, tmp_path):
         written = run_figure("4a", tmp_path)
-        # The list route: one run_sweep per omega3 and mode, measure ids
-        # suffixed with the mode and grouped in order of first appearance.
+        # The list route: one run_sweep per omega3 and alpha, measure ids
+        # suffixed with the model and grouped in order of first appearance.
         groups = {}
         sweeps = (
-            (".pure", dict(mode="pure"), ["three_tangle"]),
-            (".traced", dict(mode="traced", alpha=math.pi / 4), ["concurrence_ab", "concurrence_ac", "concurrence_bc"]),
+            (".pure", 0.0, ["three_tangle"]),
+            (".traced", math.pi / 4, ["concurrence_ab", "concurrence_ac", "concurrence_bc"]),
         )
         for omega3 in (0.0, math.pi / 3, math.pi / 4, math.pi / 6):
-            for suffix, mode, measures in sweeps:
+            for suffix, alpha, measures in sweeps:
                 axes = dict(omega1=SweepGrid(0.0, TWO_PI, 257), omega3=omega3, ties=("omega2=omega1",))
-                for r in run_sweep("ghz_plus", measures, **mode, **axes):
+                for r in run_sweep("ghz_plus", measures, alpha=alpha, **axes):
                     measure = r.measure + suffix
                     groups.setdefault(measure, []).append(dataclasses.replace(r, measure=measure))
         assert [path.name for path, _ in written] == [
