@@ -163,22 +163,23 @@ def audit_w_coefficient_table(angles) -> WTableReport:
     return WTableReport(angles, mism, flipped, float(dev.max()))
 
 
-def momentum_traced_channel_batch(amplitudes, rotations, config: MomentumConfig) -> np.ndarray:
+def momentum_traced_channel_batch(amplitudes, rotations, alpha: float) -> np.ndarray:
     """Stack of :func:`momentum_traced_channel` outputs, shape (n, 8, 8).
 
-    ``rotations`` are the forward branch's three (n, 2, 2) per-qubit rotation
-    stacks (see :func:`wigner_unitaries`). The reversed branch is rotated by
-    their transposes: D(-omega) = D(omega)^T holds bit for bit, since
-    negation is exact and the math library's cos is even and its sin odd.
-    Both branches take one transform call, as (2n, 8) rows (forward, then
-    reversed) whose checked unit norms certify the mix (see
-    :func:`~wignerqi.states.projectors`); no eigensolve validates it.
+    The branches weigh cos(alpha)**2 and sin(alpha)**2 for a finite ``alpha``,
+    as in :class:`MomentumConfig`. ``rotations`` are the forward branch's three
+    (n, 2, 2) per-qubit rotation stacks (see :func:`wigner_unitaries`). The
+    reversed branch is rotated by their transposes: D(-omega) = D(omega)^T
+    holds bit for bit, since negation is exact and the math library's cos is
+    even and its sin odd. Both branches take one transform call, as (2n, 8)
+    rows (forward, then reversed) whose checked unit norms certify the mix
+    (see :func:`~wignerqi.states.projectors`); no eigensolve validates it.
     """
     n = len(rotations[0])
     branches = product_transform_batch(amplitudes, *(np.concatenate([d, d.mT]) for d in rotations))
     check_unit_norms(branches)
     p = projectors(branches)
-    return math.cos(config.alpha) ** 2 * p[:n] + math.sin(config.alpha) ** 2 * p[n:]
+    return math.cos(alpha) ** 2 * p[:n] + math.sin(alpha) ** 2 * p[n:]
 
 
 def momentum_traced_channel(psi: PureState, angles, config: MomentumConfig) -> DensityOperator:
@@ -195,4 +196,4 @@ def momentum_traced_channel(psi: PureState, angles, config: MomentumConfig) -> D
     if psi.qubit_count != 3:
         raise ValueError(f"momentum_traced_channel acts on 3 qubits, got {psi.qubit_count}")
     rotations = wigner_unitaries(_as_angles(angles))[:, None]
-    return _certified_density(momentum_traced_channel_batch(psi.amplitudes, rotations, config)[0])
+    return _certified_density(momentum_traced_channel_batch(psi.amplitudes, rotations, config.alpha)[0])

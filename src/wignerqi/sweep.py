@@ -41,19 +41,6 @@ TWO_PI = 2.0 * math.pi
 
 AXES = ("omega1", "omega2", "omega3")
 
-MEASURE_IDS = (
-    "fidelity_gplus",
-    "fidelity_gminus",
-    "fidelity_w",
-    "fidelity_wprime",
-    "avg_capacity",
-    "three_tangle",
-    "concurrence_ab",
-    "concurrence_ac",
-    "concurrence_bc",
-    "entropy_a",
-)
-
 _FIDELITY_TARGETS = {
     "fidelity_gplus": "ghz_plus",
     "fidelity_gminus": "ghz_minus",
@@ -65,6 +52,7 @@ _PAIRS = {
     "concurrence_ac": (0, 2),
     "concurrence_bc": (1, 2),
 }
+MEASURE_IDS = (*_FIDELITY_TARGETS, "avg_capacity", "three_tangle", *_PAIRS, "entropy_a")
 
 # Grid points evaluated as one batch. run_figure streams each batch to disk,
 # so this also bounds its working memory; of 256-2048, 512 ran the 129x129
@@ -190,16 +178,15 @@ class _Plan(NamedTuple):
 
     state: str
     measures: tuple[str, ...]
-    config: MomentumConfig  # alpha, checked when planned; 0 is the pure transform
-    shape: tuple[int, ...]  # grid size of each free axis, in AXES order
-    grids: tuple[np.ndarray, ...]  # grid values of each free axis
+    alpha: float  # checked finite when planned; 0 is the pure transform
+    grids: tuple[np.ndarray, ...]  # grid values of each free axis, in AXES order
     sources: tuple[int, int, int]  # the free axis that omega1..omega3 each read
 
 
 def _plan(state, measures, *, alpha=0.0, omega1=None, omega2=None, omega3=None, ties=()) -> _Plan:
     if state not in STATE_TAGS:
         raise ValueError(f"unknown state {state!r}; expected one of {STATE_TAGS}")
-    config = MomentumConfig(float(alpha))
+    alpha = MomentumConfig(float(alpha)).alpha
     for name, value in (("measures", measures), ("ties", ties)):
         if isinstance(value, str):  # iterating it would read one-character ids
             raise ValueError(f"{name} must be a sequence of strings, got the string {value!r}")
@@ -212,8 +199,8 @@ def _plan(state, measures, *, alpha=0.0, omega1=None, omega2=None, omega3=None, 
     duplicates = sorted({m for m in measures if measures.count(m) > 1})
     if duplicates:
         raise ValueError(f"duplicate measure ids {duplicates}; request each measure once")
-    if config.alpha != 0.0 and "three_tangle" in measures:
-        raise ValueError(f"three_tangle is undefined for the mixed states of alpha {config.alpha!r}; use alpha 0")
+    if alpha != 0.0 and "three_tangle" in measures:
+        raise ValueError(f"three_tangle is undefined for the mixed states of alpha {alpha!r}; use alpha 0")
 
     roots = _resolve_ties(ties)
     specs = dict(zip(AXES, (omega1, omega2, omega3)))
@@ -223,8 +210,8 @@ def _plan(state, measures, *, alpha=0.0, omega1=None, omega2=None, omega3=None, 
     # a free axis left None is the fixed angle 0
     specs = {axis: 0.0 if spec is None else spec for axis, spec in specs.items() if axis not in roots}
     free_axes = list(specs)
-    shape = tuple(int(specs[axis].count) if isinstance(specs[axis], SweepGrid) else 1 for axis in free_axes)
-    rows = math.prod(shape) * len(measures)
+    counts = (specs[axis].count if isinstance(specs[axis], SweepGrid) else 1 for axis in free_axes)
+    rows = math.prod(counts) * len(measures)
     if rows > MAX_SWEEP_ROWS:
         raise ValueError(f"sweep of {rows} rows (grid points x measures) exceeds the cap of {MAX_SWEEP_ROWS} rows")
     grids = tuple(
@@ -232,7 +219,7 @@ def _plan(state, measures, *, alpha=0.0, omega1=None, omega2=None, omega3=None, 
         for axis in free_axes
     )
     sources = tuple(free_axes.index(roots.get(axis, axis)) for axis in AXES)
-    return _Plan(state, measures, config, shape, grids, sources)
+    return _Plan(state, measures, alpha, grids, sources)
 
 
 def _column(measure: str, rho) -> np.ndarray:
@@ -249,9 +236,10 @@ def _column(measure: str, rho) -> np.ndarray:
 def _chunks(plan: _Plan, rotations):
     """Evaluate the plan in blocks of up to CHUNK_POINTS grid points, in row-major order.
 
-    ``rotations`` holds ``wigner_unitaries`` of each grid in ``plan.grids``.
-    Yields ``(indices, values)`` per block: ``indices`` holds each point's
-    grid index on every free axis, and ``values`` maps each measure to its n
+    The grid is the product of ``plan.grids``, whose lengths give its shape,
+    and ``rotations`` holds ``wigner_unitaries`` of each of them. Yields
+    ``(indices, values)`` per block: ``indices`` holds each point's grid
+    index on every free axis, and ``values`` maps each measure to its n
     values as a float64 array.
     Every measure is a kernel over the whole block. At alpha 0 the block is
     the pure transform: fidelities read its (n, 8) amplitudes, and every other
@@ -264,17 +252,18 @@ def _chunks(plan: _Plan, rotations):
     psi0 = make_state(plan.state)
     targets = {m: make_state(_FIDELITY_TARGETS[m]).amplitudes for m in plan.measures if m in _FIDELITY_TARGETS}
     needs_rho = any(m not in targets for m in plan.measures)
-    total = math.prod(plan.shape)
+    shape = tuple(map(len, plan.grids))
+    total = math.prod(shape)
     for start in range(0, total, CHUNK_POINTS):
-        indices = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, total)), plan.shape)
+        indices = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, total)), shape)
         point_rotations = [rotations[s][indices[s]] for s in plan.sources]
-        if plan.config.alpha == 0.0:
+        if plan.alpha == 0.0:
             amps = product_transform_batch(psi0.amplitudes, *point_rotations)
             check_unit_norms(amps)
             values = {m: fidelity_pure_batch(amps, t) for m, t in targets.items()}
             rho = projectors(amps) if needs_rho else None
         else:
-            rho = momentum_traced_channel_batch(psi0.amplitudes, point_rotations, plan.config)
+            rho = momentum_traced_channel_batch(psi0.amplitudes, point_rotations, plan.alpha)
             values = {m: fidelity_vs_target_batch(rho, t) for m, t in targets.items()}
         for measure in plan.measures:
             if measure not in values:
@@ -305,7 +294,7 @@ def run_sweep(state: str, measures, **options) -> list[MeasureRecord]:
         angles = [plan.grids[s][indices[s]].tolist() for s in plan.sources]
         for o1, o2, o3, *row in zip(*angles, *(values[m].tolist() for m in plan.measures)):
             records.extend(
-                MeasureRecord(plan.state, plan.config.alpha, o1, o2, o3, m, v) for m, v in zip(plan.measures, row)
+                MeasureRecord(plan.state, plan.alpha, o1, o2, o3, m, v) for m, v in zip(plan.measures, row)
             )
     return records
 
@@ -419,7 +408,7 @@ def _write_plans(sweeps, path_of) -> list[tuple[Path, int]]:
                 files.setdefault(path_of(measure + suffix), []).append(measure)
             # a row is four pieces: first, second, third[measure] and the value's text
             s1, s2, s3 = plan.sources
-            first = f"{plan.state},{_fmt(plan.config.alpha)}," + texts[s1] + ","
+            first = f"{plan.state},{_fmt(plan.alpha)}," + texts[s1] + ","
             second = texts[s2] + ","
             third = {m: texts[s3] + f",{m}{suffix}," for m in plan.measures}
             for indices, values in _chunks(plan, rotations):
@@ -449,65 +438,57 @@ _GRID_2D = SweepGrid(0.0, TWO_PI, 129)
 _OMEGA3_FAMILY = (0.0, math.pi / 3.0, math.pi / 4.0, math.pi / 6.0)
 _TRACED_ALPHA = math.pi / 4.0
 
-_SURFACES = {
-    "1a": ("ghz_plus", "fidelity_gplus"),
-    "1b": ("ghz_plus", "fidelity_gminus"),
-    "2a": ("w", "fidelity_w"),
-    "2b": ("w", "fidelity_wprime"),
-}
-_SLICES = {
-    "1c": ("ghz_plus", ("fidelity_gplus", "fidelity_gminus")),
-    "2c": ("w", ("fidelity_w", "fidelity_wprime")),
-}
-# each family: state, its pure (alpha 0) measures, its traced measures
-_FAMILIES = {
-    "3a": ("ghz_plus", ("avg_capacity",), ("avg_capacity",)),
-    "3b": ("w", ("avg_capacity",), ("avg_capacity",)),
-    "4a": ("ghz_plus", ("three_tangle",), tuple(_PAIRS)),
-    "4b": ("w", ("three_tangle",), tuple(_PAIRS)),
-}
-
-FIGURE_NAMES = ("1a", "1b", "1c", "2a", "2b", "2c", "3a", "3b", "4a", "4b")
+_SURFACE = dict(omega1=_GRID_2D, omega3=_GRID_2D, ties=("omega2=omega1",))
+_SLICE = dict(omega1=_GRID_1D, ties=("omega2=omega1", "omega3=omega1"))
 
 
-def _figure_sweeps(name: str) -> list[tuple[str, _Plan]]:
-    """The sweeps behind a preset, each with the suffix its measure ids get."""
-    pair = ("omega2=omega1",)
-    if name in _SURFACES:
-        state, measure = _SURFACES[name]
-        return [("", _plan(state, [measure], omega1=_GRID_2D, omega3=_GRID_2D, ties=pair))]
-    if name in _SLICES:
-        state, measures = _SLICES[name]
-        return [("", _plan(state, measures, omega1=_GRID_1D, ties=("omega2=omega1", "omega3=omega1")))]
-    if name in _FAMILIES:
-        state, pure, traced = _FAMILIES[name]
-        return [
-            (suffix, _plan(state, measures, alpha=alpha, omega1=_GRID_1D, omega3=omega3, ties=pair))
-            for omega3 in _OMEGA3_FAMILY
-            for suffix, measures, alpha in ((".pure", pure, 0.0), (".traced", traced, _TRACED_ALPHA))
-        ]
-    raise ValueError(f"unknown figure preset {name!r}; expected one of {FIGURE_NAMES}")
+def _family(state: str, pure: tuple[str, ...], traced: tuple[str, ...]) -> list:
+    """A family preset's sweeps: at each fixed omega3, the pure measures, then the traced ones."""
+    return [
+        (suffix, state, measures, dict(alpha=alpha, omega1=_GRID_1D, omega3=omega3, ties=("omega2=omega1",)))
+        for omega3 in _OMEGA3_FAMILY
+        for suffix, measures, alpha in ((".pure", pure, 0.0), (".traced", traced, _TRACED_ALPHA))
+    ]
+
+
+# each preset: its sweeps as (measure id suffix, state, measures, _plan options)
+_PRESETS = {
+    "1a": [("", "ghz_plus", ("fidelity_gplus",), _SURFACE)],
+    "1b": [("", "ghz_plus", ("fidelity_gminus",), _SURFACE)],
+    "1c": [("", "ghz_plus", ("fidelity_gplus", "fidelity_gminus"), _SLICE)],
+    "2a": [("", "w", ("fidelity_w",), _SURFACE)],
+    "2b": [("", "w", ("fidelity_wprime",), _SURFACE)],
+    "2c": [("", "w", ("fidelity_w", "fidelity_wprime"), _SLICE)],
+    "3a": _family("ghz_plus", ("avg_capacity",), ("avg_capacity",)),
+    "3b": _family("w", ("avg_capacity",), ("avg_capacity",)),
+    "4a": _family("ghz_plus", ("three_tangle",), tuple(_PAIRS)),
+    "4b": _family("w", ("three_tangle",), tuple(_PAIRS)),
+}
+FIGURE_NAMES = tuple(_PRESETS)
 
 
 def run_figure(name: str, out_dir) -> list[tuple[Path, int]]:
     """Run a preset and write one CSV per measure id into ``out_dir``.
 
-    Surface presets (1a, 1b, 2a, 2b) sweep omega1 and omega3 over a 129x129
-    grid with omega2 tied to omega1. Slice presets (1c, 2c) tie all three
-    angles and sweep 257 points. Family presets (3a, 3b, 4a, 4b) sweep the
-    tied pair over 257 points for each fixed omega3 in {0, pi/3, pi/4, pi/6},
-    at alpha 0, the pure transform (suffix '.pure'; constant in the angles by
-    local-unitary invariance), and through the momentum-traced channel at
-    alpha = pi/4 (suffix '.traced'; angle-dependent). The traced runs of 4a/4b
-    report pairwise concurrences since the three-tangle is undefined for mixed
-    states.
+    ``name`` is one of ``FIGURE_NAMES``; any other name raises ``ValueError``
+    before ``out_dir`` is made. Surface presets (1a, 1b, 2a, 2b) sweep omega1
+    and omega3 over a 129x129 grid with omega2 tied to omega1. Slice presets
+    (1c, 2c) tie all three angles and sweep 257 points. Family presets (3a,
+    3b, 4a, 4b) sweep the tied pair over 257 points for each fixed omega3 in
+    {0, pi/3, pi/4, pi/6}, at alpha 0, the pure transform (suffix '.pure';
+    constant in the angles by local-unitary invariance), and through the
+    momentum-traced channel at alpha = pi/4 (suffix '.traced';
+    angle-dependent). The traced runs of 4a/4b report pairwise concurrences
+    since the three-tangle is undefined for mixed states.
 
     Rows are streamed to disk chunk by chunk, with the same bytes that
     ``write_csv`` gives the records of each sweep with its suffixed measure
     ids. The files appear together once the whole preset has been computed;
     an error leaves none.
     """
-    sweeps = _figure_sweeps(name)
+    if name not in _PRESETS:
+        raise ValueError(f"unknown figure preset {name!r}; expected one of {FIGURE_NAMES}")
+    sweeps = [(suffix, _plan(state, measures, **options)) for suffix, state, measures, options in _PRESETS[name]]
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     return _write_plans(sweeps, lambda measure_id: out_path / f"fig{name}_{measure_id.replace('.', '_')}.csv")

@@ -72,6 +72,26 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     # argparse-level failures (unknown flag, bad choice) also exit 2
     assert run(["sweep", "--state", "nope", "--measure", "entropy_a", "--out", out]) == 2
     assert run(["figure", "7q", "--out-dir", out]) == 2
+    assert not os.path.exists(out)
+
+
+def test_measure_ids_and_preset_names_keep_their_order(capsys):
+    assert sweep.MEASURE_IDS == (
+        "fidelity_gplus",
+        "fidelity_gminus",
+        "fidelity_w",
+        "fidelity_wprime",
+        "avg_capacity",
+        "three_tangle",
+        "concurrence_ab",
+        "concurrence_ac",
+        "concurrence_bc",
+        "entropy_a",
+    )
+    assert sweep.FIGURE_NAMES == ("1a", "1b", "1c", "2a", "2b", "2c", "3a", "3b", "4a", "4b")
+    # the CLI offers the presets as FIGURE_NAMES orders them
+    assert run(["figure", "--help"]) == 0
+    assert "{1a,1b,1c,2a,2b,2c,3a,3b,4a,4b}" in capsys.readouterr().out
 
 
 def test_duplicate_measures_exit_2(tmp_path, capsys):

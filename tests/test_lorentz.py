@@ -109,6 +109,8 @@ class TestProductTransform:
     def test_rejects_wrong_qubit_count(self):
         with pytest.raises(ValueError):
             product_transform(PureState(np.array([1.0, 0.0])), (0.1, 0.2, 0.3))
+        with pytest.raises(ValueError, match="acts on 3 qubits, got 2"):
+            momentum_traced_channel(PureState(np.array([1.0, 0.0, 0.0, 0.0])), (0.1, 0.2, 0.3), MomentumConfig(0.3))
 
     def test_reduction_spectra_angle_independent(self, rng):
         # Per-qubit rotations leave every one- and two-qubit reduction spectrum
@@ -303,7 +305,7 @@ class TestMomentumTracedChannel:
             amplitudes = make_state(state).amplitudes
             pure = projectors(product_transform_batch(amplitudes, *rotations)) + 0.0
             for alpha in (0.0, -0.0):
-                traced = momentum_traced_channel_batch(amplitudes, rotations, MomentumConfig(alpha)) + 0.0
+                traced = momentum_traced_channel_batch(amplitudes, rotations, alpha) + 0.0
                 assert np.array_equal(traced.view(np.uint64), pure.view(np.uint64)), (state, alpha)
 
     @settings(max_examples=50, deadline=None)

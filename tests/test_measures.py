@@ -36,6 +36,19 @@ def random_angles(rng):
     return WignerAngles(*rng.uniform(0.0, 2.0 * np.pi, 3))
 
 
+WRONG_QUBIT_COUNTS = {
+    "fidelity_vs_target": (fidelity_vs_target, (to_density(bell_pair()), make_state("w")), "qubit counts differ: 2 vs 3"),
+    "concurrence": (concurrence, (to_density(make_state("w")),), "concurrence expects 2 qubits, got 3"),
+    "three_tangle": (three_tangle, (bell_pair(),), "three_tangle expects 3 qubits, got 2"),
+}
+
+
+@pytest.mark.parametrize(("function", "args", "message"), WRONG_QUBIT_COUNTS.values(), ids=WRONG_QUBIT_COUNTS.keys())
+def test_wrong_qubit_count_refused(function, args, message):
+    with pytest.raises(ValueError, match=message):
+        function(*args)
+
+
 class TestFidelity:
     def test_self_fidelity(self):
         ghz = make_state("ghz_plus")

@@ -13,6 +13,7 @@ from wignerqi.measures import average_capacity, concurrence, pair_capacity, von_
 from wignerqi.oracle import (
     haar_random_state,
     oracle_concurrence_mixed,
+    oracle_concurrence_pure,
     oracle_entropy,
     oracle_pair_capacity,
     oracle_partial_trace,
@@ -213,6 +214,22 @@ class TestOracleConcurrenceMixed:
             for pair in ((0, 1), (0, 2), (1, 2)):
                 expected = oracle_concurrence_mixed(oracle_partial_trace(rho, pair))
                 assert abs(concurrence(reduced(rho, pair)) - expected) <= self.TOLERANCE, (pair, angles)
+
+
+BELL = PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
+WRONG_QUBIT_COUNTS = {
+    "oracle_transform": (oracle_transform, (BELL, (0.1, 0.2, 0.3)), "expects 3 qubits, got 2"),
+    "oracle_pair_capacity": (oracle_pair_capacity, (to_density(make_state("w")),), "expects 2 qubits, got 3"),
+    "oracle_three_tangle": (oracle_three_tangle, (BELL,), "expects 3 qubits, got 2"),
+    "oracle_concurrence_pure": (oracle_concurrence_pure, (make_state("w"),), "expects 2 qubits, got 3"),
+    "oracle_concurrence_mixed": (oracle_concurrence_mixed, (to_density(make_state("w")),), "expects 2 qubits, got 3"),
+}
+
+
+@pytest.mark.parametrize(("function", "args", "message"), WRONG_QUBIT_COUNTS.values(), ids=WRONG_QUBIT_COUNTS.keys())
+def test_wrong_qubit_count_refused(function, args, message):
+    with pytest.raises(ValueError, match=message):
+        function(*args)
 
 
 def test_haar_random_state_normalized(rng):

@@ -135,3 +135,8 @@ class TestMatrixSqrtPsd:
             psd = m @ m.conj().T
             root = matrix_sqrt_psd(psd)
             assert np.max(np.abs(root @ root - psd)) < 1e-9
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (5, 2, 4)])
+    def test_rejects_a_non_square_matrix(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            matrix_sqrt_psd(np.ones(shape))

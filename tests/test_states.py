@@ -119,6 +119,10 @@ def test_validate_density_stack_reports_each_matrix():
 
 
 def test_density_operator_rejects_invalid():
+    with pytest.raises(ValueError, match="expected a square matrix, got shape \\(2, 4\\)"):
+        DensityOperator(np.ones((2, 4)) / 4)
+    with pytest.raises(ValueError, match="dimension 3 is not a power of two"):
+        DensityOperator(np.eye(3) / 3)
     with pytest.raises(NumericValidationError):
         DensityOperator(np.diag([1.0, 1.0]))
     with pytest.raises(NumericValidationError):
