@@ -5,8 +5,8 @@ Qubit 0 is the leftmost tensor factor, so basis index ``i`` spells the bit
 string of ``i`` most-significant bit first. Intended for dimensions up to
 2**12; everything is dense and eager. Every routine also accepts a stack
 of matrices along leading axes and treats each matrix on its own; a single
-matrix is the stack with no leading axis. The routines check shapes and
-indices only: :mod:`wignerqi.states` holds every density tolerance and
+matrix is the stack with no leading axis. The routines check at most shapes
+and indices: :mod:`wignerqi.states` holds every density tolerance and
 acceptance check.
 """
 
@@ -66,13 +66,12 @@ def matrix_sqrt_psd(matrix) -> np.ndarray:
     """Hermitian square root of a Hermitian positive-semidefinite matrix.
 
     Takes a validated or certified density stack (see :mod:`wignerqi.states`)
-    and checks only its shape; eigenvalues that round below zero are clamped
-    to zero. Leading axes hold a stack of matrices, each given its own root.
+    and checks nothing itself: ``np.linalg.eigh`` refuses a non-square shape
+    with ``LinAlgError``, a ``ValueError``. Eigenvalues that round below zero
+    are clamped to zero. Leading axes hold a stack of matrices, each given its
+    own root.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    values, vectors = np.linalg.eigh(m)
+    values, vectors = np.linalg.eigh(np.asarray(matrix, dtype=complex))
     # eigh sorts ascending; the root sums its terms in descending order, and
     # ascending order would change the roundoff of the traced concurrences
     values = np.clip(values[..., ::-1], 0.0, None)

@@ -300,10 +300,8 @@ def run_sweep(state: str, measures, **options) -> list[MeasureRecord]:
 
 
 CSV_HEADER = "state,alpha,omega1,omega2,omega3,measure,value"
-
-
-def _fmt(value: float) -> str:
-    return format(float(value) + 0.0, ".12g")  # + 0.0 turns -0.0 into 0.0
+# Every CSV float, here and in _write_plans, is "%.12g" % (x + 0.0): the + 0.0 turns -0.0 into 0.0.
+_ROW = "%s,%.12g,%.12g,%.12g,%.12g,%s,%.12g\n"
 
 
 @contextlib.contextmanager
@@ -314,11 +312,16 @@ def _staged_csvs():
     moved into place with ``os.replace`` once the block completes, after every
     destination has been checked not to be a directory; if the block or that
     check raises, every temporary file is removed and no destination is touched.
+    A destination whose last component is empty (it ends in a separator),
+    ``.`` or ``..`` names a directory: opening it raises IsADirectoryError.
     """
     staged: dict[Path, tuple[Path, object]] = {}
 
-    def open_csv(path: Path):
+    def open_csv(destination):
+        path = Path(destination)
         if path not in staged:
+            if os.path.basename(os.fspath(destination)) in ("", ".", ".."):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(destination))
             temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             handle = open(temp, "w", encoding="ascii", newline="\n")
             staged[path] = (temp, handle)
@@ -352,13 +355,10 @@ def write_csv(records, destination) -> int:
     """
     count = 0
     with _staged_csvs() as open_csv:
-        handle = open_csv(Path(destination))
-        for record in records:
-            handle.write(
-                f"{record.state},{_fmt(record.alpha)},{_fmt(record.omega1)},"
-                f"{_fmt(record.omega2)},{_fmt(record.omega3)},{record.measure},{_fmt(record.value)}\n"
-            )
-            count += 1
+        handle = open_csv(destination)
+        for count, r in enumerate(records, 1):
+            angles = r.alpha + 0.0, r.omega1 + 0.0, r.omega2 + 0.0, r.omega3 + 0.0
+            handle.write(_ROW % (r.state, *angles, r.measure, r.value + 0.0))
     return count
 
 
@@ -379,36 +379,36 @@ def _chunk_rows(first, second, thirds, points, columns) -> str:
         rows[at::step] = firsts
         rows[at + 1 :: step] = seconds
         rows[at + 2 :: step] = third[i3].tolist()
-        # one %.12g pass over the column; + 0.0 turns -0.0 into 0.0 as _fmt does
         rows[at + 3 :: step] = (("%.12g\n" * n) % tuple((column + 0.0).tolist())).splitlines(True)
     return "".join(rows)
 
 
-def _write_plans(sweeps, path_of) -> list[tuple[Path, int]]:
+def _write_plans(sweeps, path_of) -> list[tuple[Path | str, int]]:
     """Stream the rows of ``(suffix, plan)`` sweeps to CSV files; returns each file's row count.
 
     A measure's rows carry the id ``measure + suffix`` and go to the file
-    ``path_of(measure_id)``. Measures of one plan that share a file interleave
-    per grid point in plan order, as ``run_sweep`` orders its records, so each
-    file has the bytes ``write_csv`` gives those records. Rows are formatted
-    and written a chunk at a time. The files appear together once every sweep
-    has been computed; an error leaves none.
+    ``path_of(measure_id)``, a path or str. Measures of one plan that share a
+    file interleave per grid point in plan order, as ``run_sweep`` orders its
+    records, so each file has the bytes ``write_csv`` gives those records.
+    Rows are formatted and written a chunk at a time. The files appear
+    together once every sweep has been computed; an error leaves none.
     """
-    counts: dict[Path, int] = {}
+    counts: dict[Path | str, int] = {}
     per_grid: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}  # rotations and texts, shared by this call's plans
     with _staged_csvs() as open_csv:
         for suffix, plan in sweeps:
             for grid in plan.grids:
                 key = grid.tobytes()
                 if key not in per_grid:
-                    per_grid[key] = (wigner_unitaries(grid), np.array([_fmt(v) for v in grid], dtype=object))
+                    texts = ("%.12g\n" * len(grid) % tuple((grid + 0.0).tolist())).split()
+                    per_grid[key] = (wigner_unitaries(grid), np.array(texts, dtype=object))
             rotations, texts = zip(*(per_grid[grid.tobytes()] for grid in plan.grids))
-            files: dict[Path, list[str]] = {}
+            files: dict[Path | str, list[str]] = {}
             for measure in plan.measures:
                 files.setdefault(path_of(measure + suffix), []).append(measure)
             # a row is four pieces: first, second, third[measure] and the value's text
             s1, s2, s3 = plan.sources
-            first = f"{plan.state},{_fmt(plan.alpha)}," + texts[s1] + ","
+            first = "%s,%.12g," % (plan.state, plan.alpha + 0.0) + texts[s1] + ","
             second = texts[s2] + ","
             third = {m: texts[s3] + f",{m}{suffix}," for m in plan.measures}
             for indices, values in _chunks(plan, rotations):
@@ -427,7 +427,7 @@ def write_sweep(destination, state: str, measures, **options) -> int:
     destination)`` gives, but rows are formatted and written a chunk at a
     time, so no record list is built. The file appears only once complete.
     """
-    return _write_plans([("", _plan(state, measures, **options))], lambda _: Path(destination))[0][1]
+    return _write_plans([("", _plan(state, measures, **options))], lambda _: destination)[0][1]
 
 
 # Preset sweep configurations. 1D slices use 257 points over [0, 2pi]

@@ -51,28 +51,152 @@ def test_traced_sweep_with_alpha(tmp_path):
     assert value > 0.0
 
 
-def test_usage_errors_exit_2(tmp_path, capsys):
-    out = str(tmp_path / "x.csv")
-    base = ["sweep", "--state", "w", "--out", out]
-    assert run(base + ["--measure", "nope"]) == 2
-    assert run(base + ["--measure", "entropy_a", "--omega1", "2qi"]) == 2
-    assert run(base + ["--measure", "entropy_a", "--tie", "omega2-omega1"]) == 2
-    assert run(base + ["--measure", "entropy_a", "--tie", "omega2=omega1", "--omega2", "1"]) == 2
-    assert run(base + ["--measure", "three_tangle", "--alpha", "0.3pi"]) == 2
-    assert "three_tangle is undefined" in capsys.readouterr().err
-    assert run(base + ["--measure", "fidelity_w", "--alpha", "1e400", "--omega1", "0"]) == 2
-    assert "alpha must be finite, got inf" in capsys.readouterr().err
+def sweep_argv(*flags, out="x.csv"):
+    return ["sweep", "--state", "w", *flags, "--out", out]
+
+
+# (argv, exit code, stderr fragment) of every refusal the CLI can reach without a monkeypatch.
+# Each runs in a directory holding the regular file afile and the empty directory d.
+REFUSALS = {
+    # usage errors of the sweep plan and its tokens
+    "unknown_measure": (sweep_argv("--measure", "nope"), 2, "unknown measure 'nope'"),
+    "no_measure": (sweep_argv("--measure", ","), 2, "at least one measure is required"),
+    "duplicate_in_one_flag": (
+        sweep_argv("--omega1", "0:1:3", "--measure", "fidelity_w,entropy_a,fidelity_w"),
+        2,
+        "duplicate measure ids ['fidelity_w']",
+    ),
+    "duplicate_across_flags": (
+        sweep_argv("--omega1", "0:1:3", "--measure", "entropy_a", "--measure", "entropy_a"),
+        2,
+        "duplicate measure ids ['entropy_a']",
+    ),
+    "malformed_angle": (sweep_argv("--measure", "entropy_a", "--omega1", "2qi"), 2, "malformed angle token '2qi'"),
+    "malformed_grid_token": (sweep_argv("--measure", "entropy_a", "--omega1", "0:1"), 2, "malformed grid token '0:1'"),
+    "malformed_grid_count": (
+        sweep_argv("--measure", "entropy_a", "--omega1", "0:1:3.5"),
+        2,
+        "malformed grid count '3.5'",
+    ),
+    "zero_grid_count": (
+        sweep_argv("--measure", "entropy_a", "--omega1", "0:1:0"),
+        2,
+        "grid count must be an integer >= 1, got 0",
+    ),
+    "grid_stop_below_start": (
+        sweep_argv("--measure", "entropy_a", "--omega1", "1:0:2"),
+        2,
+        "grid stop 0.0 is below start 1.0",
+    ),
+    "infinite_grid_endpoint": (
+        sweep_argv("--measure", "entropy_a", "--omega1", "1e400:2:3"),
+        2,
+        "grid endpoints must be finite, got inf:2.0",
+    ),
     # finite endpoints whose difference overflows are refused before linspace warns
-    assert run(base + ["--measure", "fidelity_w", "--omega1=-1e308:1e308:3", "--tie", "omega2=omega1"]) == 2
-    assert "grid span -1e+308:1e+308 overflows" in capsys.readouterr().err
+    "overflowing_grid_span": (
+        sweep_argv("--measure", "fidelity_w", "--omega1=-1e308:1e308:3", "--tie", "omega2=omega1"),
+        2,
+        "grid span -1e+308:1e+308 overflows",
+    ),
     # parse_angle reads 1e999 as inf; a fixed angle is refused like a grid endpoint
-    assert run(base + ["--measure", "fidelity_w", "--omega1", "0:1:3", "--omega3", "1e999"]) == 2
-    assert "angle must be finite, got inf" in capsys.readouterr().err
-    assert not os.path.exists(out)
-    # argparse-level failures (unknown flag, bad choice) also exit 2
-    assert run(["sweep", "--state", "nope", "--measure", "entropy_a", "--out", out]) == 2
-    assert run(["figure", "7q", "--out-dir", out]) == 2
-    assert not os.path.exists(out)
+    "infinite_fixed_angle": (
+        sweep_argv("--measure", "fidelity_w", "--omega1", "0:1:3", "--omega3", "1e999"),
+        2,
+        "angle must be finite, got inf",
+    ),
+    "infinite_alpha": (
+        sweep_argv("--measure", "fidelity_w", "--alpha", "1e400", "--omega1", "0"),
+        2,
+        "alpha must be finite, got inf",
+    ),
+    "three_tangle_traced_w": (
+        sweep_argv("--measure", "three_tangle", "--alpha", "0.3pi"),
+        2,
+        "three_tangle is undefined",
+    ),
+    "three_tangle_traced_ghz": (
+        ["sweep", "--state", "ghz_plus", "--omega1", "0:1:3", "--measure", "three_tangle", "--alpha", "0.3pi"]
+        + ["--out", "x.csv"],
+        2,
+        "three_tangle is undefined for the mixed states of alpha",
+    ),
+    "malformed_tie": (
+        sweep_argv("--measure", "entropy_a", "--tie", "omega2-omega1"),
+        2,
+        "malformed tie 'omega2-omega1'",
+    ),
+    "self_tie": (sweep_argv("--measure", "entropy_a", "--tie", "omega1=omega1"), 2, "binds an axis to itself"),
+    "axis_tied_twice": (
+        sweep_argv("--measure", "entropy_a", "--tie", "omega2=omega1", "--tie", "omega2=omega3"),
+        2,
+        "axis 'omega2' is tied twice",
+    ),
+    "tie_cycle": (
+        sweep_argv("--measure", "entropy_a", "--tie", "omega2=omega1", "--tie", "omega1=omega2"),
+        2,
+        "tie cycle involving",
+    ),
+    "value_on_tied_axis": (
+        sweep_argv("--measure", "entropy_a", "--tie", "omega2=omega1", "--omega2", "1"),
+        2,
+        "axis omega2 is tied to omega1; give it no grid or angle",
+    ),
+    # argparse refusals: a bad choice or an unknown flag
+    "unknown_state": (
+        ["sweep", "--state", "nope", "--measure", "entropy_a", "--out", "x.csv"],
+        2,
+        "invalid choice: 'nope'",
+    ),
+    "unknown_preset": (["figure", "7q", "--out-dir", "out"], 2, "invalid choice: '7q'"),
+    # the traced channel has one branch rule, so there is no flag to choose one
+    "convention_flag": (
+        sweep_argv("--alpha", "0.3pi", "--omega1", "0.3", "--convention", "same", "--measure", "entropy_a"),
+        2,
+        "unrecognized arguments: --convention same",
+    ),
+    # --alpha alone chooses the model: 0 is the pure transform, any other value the traced channel
+    "mode_traced_flag": (
+        sweep_argv("--alpha", "0.3pi", "--omega1", "0.3", "--measure", "entropy_a", "--mode", "traced"),
+        2,
+        "unrecognized arguments: --mode traced",
+    ),
+    "mode_pure_flag": (
+        sweep_argv("--alpha", "0.3pi", "--omega1", "0.3", "--measure", "entropy_a", "--mode", "pure"),
+        2,
+        "unrecognized arguments: --mode pure",
+    ),
+    # I/O errors: a missing parent, a file where a directory must go, a destination naming a directory
+    "missing_parent": (
+        sweep_argv("--measure", "entropy_a", out="no/such/dir/out.csv"),
+        3,
+        "No such file or directory",
+    ),
+    "out_dir_is_a_file": (["figure", "1c", "--out-dir", "afile"], 3, "File exists: 'afile'"),
+    "out_existing_directory": (sweep_argv("--measure", "fidelity_w", out="d"), 3, "Is a directory: 'd'"),
+    "out_dot": (sweep_argv("--measure", "fidelity_w", out="."), 3, "Is a directory: '.'"),
+    "out_dot_slash": (sweep_argv("--measure", "fidelity_w", out="./"), 3, "Is a directory: './'"),
+    "out_dot_dot": (sweep_argv("--measure", "fidelity_w", out=".."), 3, "Is a directory: '..'"),
+    # pathlib drops a trailing separator, which would name the regular file afile
+    "out_file_with_slash": (sweep_argv("--measure", "fidelity_w", out="afile/"), 3, "Is a directory: 'afile/'"),
+}
+
+
+def tree(root):
+    """Every path under ``root``, mapped to its bytes (None for a directory)."""
+    return {str(path.relative_to(root)): None if path.is_dir() else path.read_bytes() for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize(("argv", "code", "fragment"), REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_exits_with_its_code_and_changes_no_file(argv, code, fragment, tmp_path, monkeypatch, capsys):
+    # no CSV, no .<name>.<pid>.tmp, no new directory, and afile keeps its bytes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_bytes(b"old contents\n")
+    (tmp_path / "d").mkdir()
+    before = tree(tmp_path)
+    assert run(argv) == code
+    assert fragment in capsys.readouterr().err
+    assert tree(tmp_path) == before
 
 
 def test_measure_ids_and_preset_names_keep_their_order(capsys):
@@ -94,44 +218,14 @@ def test_measure_ids_and_preset_names_keep_their_order(capsys):
     assert "{1a,1b,1c,2a,2b,2c,3a,3b,4a,4b}" in capsys.readouterr().out
 
 
-def test_duplicate_measures_exit_2(tmp_path, capsys):
-    out = tmp_path / "x.csv"
-    base = ["sweep", "--state", "w", "--omega1", "0:1:3", "--out", str(out)]
-    assert run(base + ["--measure", "fidelity_w,entropy_a,fidelity_w"]) == 2
-    assert run(base + ["--measure", "entropy_a", "--measure", "entropy_a"]) == 2
-    assert "duplicate measure" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_convention_flag_exit_2(tmp_path, capsys):
-    # the traced channel has one branch rule, so there is no flag to choose one
-    out = tmp_path / "x.csv"
-    argv = ["sweep", "--state", "w", "--alpha", "0.3pi", "--omega1", "0.3"]
-    assert run(argv + ["--convention", "same", "--measure", "entropy_a", "--out", str(out)]) == 2
-    assert "--convention" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_mode_flag_exit_2(tmp_path, capsys):
-    # --alpha alone chooses the model: 0 is the pure transform, any other value the traced channel
-    out = tmp_path / "x.csv"
-    argv = ["sweep", "--state", "w", "--alpha", "0.3pi", "--omega1", "0.3", "--measure", "entropy_a"]
-    for mode in ("traced", "pure"):
-        assert run(argv + ["--mode", mode, "--out", str(out)]) == 2
-        assert "unrecognized arguments: --mode" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_three_tangle_only_at_alpha_zero(tmp_path, capsys):
+def test_three_tangle_only_at_alpha_zero(tmp_path):
+    # the refusal at a nonzero alpha is the REFUSALS row three_tangle_traced_ghz
     out = tmp_path / "x.csv"
     argv = ["sweep", "--state", "ghz_plus", "--omega1", "0:1:3", "--measure", "three_tangle", "--out", str(out)]
     for alpha in ("0", "-0", "0pi"):
         assert run(argv + ["--alpha", alpha]) == 0
         assert len(out.read_text().splitlines()) == 4
         out.unlink()
-    assert run(argv + ["--alpha", "0.3pi"]) == 2
-    assert "three_tangle is undefined" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_oversized_grid_exit_2(tmp_path, capsys, monkeypatch):
@@ -144,14 +238,6 @@ def test_oversized_grid_exit_2(tmp_path, capsys, monkeypatch):
     assert run(["sweep", "--state", "w", "--measure", "fidelity_w", *axes, "--out", str(out)]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_io_error_exit_3(tmp_path):
-    missing = tmp_path / "no" / "such" / "dir" / "out.csv"
-    code = run(
-        ["sweep", "--state", "w", "--measure", "entropy_a", "--out", str(missing)]
-    )
-    assert code == 3
 
 
 def test_numeric_failure_exit_4(tmp_path, monkeypatch):

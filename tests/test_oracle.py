@@ -23,6 +23,7 @@ from wignerqi.oracle import (
 )
 from wignerqi.qmath import partial_trace
 from wignerqi.states import STATE_TAGS, DensityOperator, PureState, make_state, reduced, to_density
+from wignerqi.sweep import FIGURE_NAMES, SweepGrid, run_figure
 
 
 def random_density(rng, qubit_count):
@@ -214,6 +215,74 @@ class TestOracleConcurrenceMixed:
             for pair in ((0, 1), (0, 2), (1, 2)):
                 expected = oracle_concurrence_mixed(oracle_partial_trace(rho, pair))
                 assert abs(concurrence(reduced(rho, pair)) - expected) <= self.TOLERANCE, (pair, angles)
+
+
+def printed(values):
+    """Each value keyed by its CSV text, so that a printed angle maps back to its grid value."""
+    return {format(float(v), ".12g"): float(v) for v in values}
+
+
+SURFACE_AXES = (printed(SweepGrid(0.0, 2 * math.pi, 129).values()),) * 3
+SLICE_AXES = (printed(SweepGrid(0.0, 2 * math.pi, 257).values()),) * 3
+FAMILY_AXES = (*SLICE_AXES[:2], printed((0.0, math.pi / 3, math.pi / 4, math.pi / 6)))
+# omega1, omega2 and omega3 of each preset: surfaces tie omega2 to omega1, slices tie all three,
+# and families sweep the tied pair at four fixed omega3
+PRESET_AXES = {
+    **dict.fromkeys(("1a", "1b", "2a", "2b"), SURFACE_AXES),
+    **dict.fromkeys(("1c", "2c"), SLICE_AXES),
+    **dict.fromkeys(("3a", "3b", "4a", "4b"), FAMILY_AXES),
+}
+PRESET_ALPHAS = printed((0.0, math.pi / 4))  # .pure rows and .traced rows
+FIDELITY_TARGETS = {
+    "fidelity_gplus": "ghz_plus",
+    "fidelity_gminus": "ghz_minus",
+    "fidelity_w": "w",
+    "fidelity_wprime": "w_prime",
+}
+PAIRS = {"concurrence_ab": (0, 1), "concurrence_ac": (0, 2), "concurrence_bc": (1, 2)}
+
+
+def oracle_row_value(state, alpha, angles, measure):
+    """A preset row's value through oracle routes only, and the route's error bound."""
+    psi = make_state(state)
+    name = measure.split(".")[0]
+    if name in FIDELITY_TARGETS or name == "three_tangle":
+        assert alpha == 0.0, measure  # the presets print these of the pure transform only
+        boosted = oracle_transform(psi, angles)
+        if name == "three_tangle":
+            return oracle_three_tangle(boosted), 1e-12
+        return abs(np.vdot(make_state(FIDELITY_TARGETS[name]).amplitudes, boosted.amplitudes)) ** 2, 1e-12
+    rho = oracle_traced_channel(psi, angles, alpha)  # the projector of the boosted state at alpha 0
+    if name == "avg_capacity":
+        return sum(oracle_pair_capacity(oracle_partial_trace(rho, pair)) for pair in PAIRS.values()) / 3.0, 1e-12
+    return oracle_concurrence_mixed(oracle_partial_trace(rho, PAIRS[name])), TestOracleConcurrenceMixed.TOLERANCE
+
+
+def half_unit(text):
+    """Half a unit in the 12th significant digit of a printed value, the most its rounding moved it."""
+    value = float(text)
+    return 0.5 * 10.0 ** (int(format(value, ".11e").split("e")[1]) - 11) if value else 0.0
+
+
+class TestPresetRows:
+    """Sampled rows of every preset CSV against oracle routes, from the row's printed state, alpha and angles."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_mpmath(self):
+        pytest.importorskip("mpmath")
+
+    def test_sampled_rows_match_the_oracles(self, tmp_path, rng):
+        checked = []
+        for name in FIGURE_NAMES:
+            for path, count in run_figure(name, tmp_path):
+                lines = path.read_text().splitlines()[1:]
+                for index in (0, count - 1, *rng.choice(np.arange(1, count - 1), 6, replace=False)):
+                    state, alpha, *angles, measure, value = lines[index].split(",")
+                    angles = [axis[text] for axis, text in zip(PRESET_AXES[name], angles)]
+                    expected, route_error = oracle_row_value(state, PRESET_ALPHAS[alpha], angles, measure)
+                    assert abs(float(value) - expected) <= half_unit(value) + route_error, (path.name, lines[index])
+                checked.append(path.name)
+        assert len(checked) == 20
 
 
 BELL = PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
