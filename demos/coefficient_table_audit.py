@@ -10,14 +10,8 @@
 
 import numpy as np
 
-from wignerqi import (
-    WignerAngles,
-    audit_w_coefficient_table,
-    make_state,
-    product_transform,
-    w_variant_coefficients,
-)
-from wignerqi.oracle import ghz_coefficients, w_coefficients
+from wignerqi import WignerAngles, make_state, product_transform
+from wignerqi.oracle import audit_w_coefficient_table, ghz_coefficients, w_coefficients, w_variant_coefficients
 
 rng = np.random.default_rng(3)
 angles = WignerAngles(*rng.uniform(0, 2 * np.pi, 3))
@@ -34,9 +28,9 @@ print("w table vs direct transform, max |diff|:  ",
 variant = w_variant_coefficients(angles)
 print(f"\nvariant w table norm: {np.linalg.norm(variant):.6f}  (a unitary image must have norm 1)")
 
-report = audit_w_coefficient_table(angles)
-print(f"variant vs direct w transform: mismatched slots {report.mismatched_indices}")
-print(f"variant slots equal to the w_prime transform: {report.matches_flipped_partner}")
+mismatched, partner = audit_w_coefficient_table(angles)
+print(f"variant vs direct w transform: mismatched slots {mismatched}")
+print(f"variant slots equal to the w_prime transform: {partner}")
 
 labels = [format(i, "03b") for i in range(8)]
 direct_wp = product_transform(make_state("w_prime"), angles).amplitudes

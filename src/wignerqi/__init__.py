@@ -12,11 +12,8 @@ fast paths are in ``wignerqi.oracle``.
 from .lorentz import (
     MomentumConfig,
     WignerAngles,
-    WTableReport,
-    audit_w_coefficient_table,
     momentum_traced_channel,
     product_transform,
-    w_variant_coefficients,
 )
 from .measures import (
     CapacityBreakdown,
@@ -60,9 +57,7 @@ __all__ = [
     "STATE_TAGS",
     "SweepGrid",
     "TangleBreakdown",
-    "WTableReport",
     "WignerAngles",
-    "audit_w_coefficient_table",
     "average_capacity",
     "concurrence",
     "fidelity_pure",
@@ -77,6 +72,5 @@ __all__ = [
     "three_tangle",
     "to_density",
     "von_neumann_entropy",
-    "w_variant_coefficients",
     "write_csv",
 ]

@@ -7,16 +7,6 @@ angle, and a product of three such rotations carries any three-qubit state
 into its boosted form. This module provides that transform and the mixed
 channel obtained when the boost acts on a two-branch momentum superposition
 whose spin part is then read out alone.
-
-A note on the closed-form W table: a transcription of these eight
-amplitudes circulates in which the entries are actually the expansion of
-the bit-flipped partner state (``w_prime``) in five of eight slots, and the
-remaining three slots carry typos that break normalization (two entries are
-textually identical). :func:`audit_w_coefficient_table` evaluates that
-variant literally and reports exactly which entries disagree with the
-direct tensor computation. The corresponding GHZ table is sound except for
-one garbled entry, whose corrected form ``(s1*c2*c3 + c1*s2*s3)/sqrt(2)``
-is what :func:`wignerqi.oracle.ghz_coefficients` evaluates.
 """
 
 from __future__ import annotations
@@ -27,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import DensityOperator, PureState, _certified_density, check_unit_norms, make_state, projectors
+from .states import DensityOperator, PureState, _certified_density, check_unit_norms, projectors
 
 class WignerAngles(NamedTuple):
     """Per-qubit Wigner rotation angles, in radians."""
@@ -101,66 +91,6 @@ def product_transform(psi: PureState, angles) -> PureState:
         raise ValueError(f"product_transform acts on 3 qubits, got {psi.qubit_count}")
     rotations = wigner_unitaries(_as_angles(angles))[:, None]
     return PureState(product_transform_batch(psi.amplitudes, *rotations)[0])
-
-
-def w_variant_coefficients(angles) -> np.ndarray:
-    """The erratic transcription of the boosted-w amplitude table, verbatim.
-
-    Rows 1 and 2 repeat the same expression twice (the literal duplicated
-    term is preserved here) and row 4 breaks normalization. Exists only so
-    :func:`audit_w_coefficient_table` can diff it against the direct
-    transform; do not use it for physics.
-    """
-    u = wigner_unitaries(_as_angles(angles))
-    c1, c2, c3 = u[:, 0, 0].real.tolist()
-    s1, s2, s3 = u[:, 1, 0].real.tolist()
-    r = 1.0 / math.sqrt(3.0)
-    return np.array(
-        [
-            (s1 * c2 * s3 + s1 * s2 * c3 + c1 * s2 * s3) * r,
-            (s1 * s2 * s3 - s1 * c2 * c3 - s1 * c2 * c3) * r,
-            (s1 * s2 * s3 - s1 * c2 * c3 - s1 * c2 * c3) * r,
-            (c1 * c2 * c3 - s1 * s2 * c3 - s1 * c2 * s3) * r,
-            (s1 * s2 * s3 - c1 * s2 * c3 - c1 * c2 * c3) * r,
-            (c1 * c2 * c3 - s1 * s2 * c3 - c1 * s2 * s3) * r,
-            (c1 * c2 * c3 - s1 * c2 * s3 - c1 * s2 * s3) * r,
-            (s1 * c2 * c3 + c1 * s2 * c3 + c1 * c2 * s3) * r,
-        ],
-        dtype=complex,
-    )
-
-
-@dataclass(frozen=True)
-class WTableReport:
-    """Outcome of diffing the erratic w table against direct transforms."""
-
-    angles: WignerAngles
-    mismatched_indices: tuple[int, ...]
-    matches_flipped_partner: tuple[int, ...]
-    max_abs_deviation: float
-
-
-# Largest deviation at which a table entry still matches a direct transform.
-_W_TABLE_ATOL = 1e-12
-
-
-def audit_w_coefficient_table(angles) -> WTableReport:
-    """Compare the erratic w table entry by entry against direct transforms.
-
-    ``mismatched_indices`` lists the amplitude slots where the variant table
-    disagrees with ``product_transform`` of the w state at these angles (at
-    generic angles: all eight). ``matches_flipped_partner`` lists the slots
-    where it instead reproduces the transform of ``w_prime`` (at generic
-    angles: slots 0, 3, 5, 6, 7; the other three carry typos).
-    """
-    angles = _as_angles(angles)
-    variant = w_variant_coefficients(angles)
-    direct_w = product_transform(make_state("w"), angles).amplitudes
-    direct_wp = product_transform(make_state("w_prime"), angles).amplitudes
-    dev = np.abs(variant - direct_w)
-    mism = tuple(int(i) for i in range(8) if dev[i] > _W_TABLE_ATOL)
-    flipped = tuple(int(i) for i in range(8) if abs(variant[i] - direct_wp[i]) <= _W_TABLE_ATOL)
-    return WTableReport(angles, mism, flipped, float(dev.max()))
 
 
 def momentum_traced_channel_batch(amplitudes, rotations, alpha: float) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Each routine recomputes a result from its bare definition with explicit
 index loops and scalar math, sharing no code with the fast paths it checks.
-The closed-form GHZ and W amplitude tables live here for the same reason.
+The closed-form GHZ and W amplitude tables live here for the same reason,
+with an audit of an erratic W table that circulates.
 Performance is a non-goal.
 """
 
@@ -119,6 +120,76 @@ def w_coefficients(angles) -> np.ndarray:
         ],
         dtype=complex,
     )
+
+
+def w_variant_coefficients(angles) -> np.ndarray:
+    """A circulating transcription of the boosted w table, evaluated verbatim.
+
+    Slots 0, 3, 5, 6 and 7 hold the boosted ``w_prime`` rather than w. Slots
+    1, 2 and 4 carry typos that break normalization; rows 1 and 2 are the
+    same text, duplicated term included. For :func:`audit_w_coefficient_table`,
+    not for physics.
+    """
+    c1, s1, c2, s2, c3, s3 = _half_trig(angles)
+    r = 1.0 / math.sqrt(3.0)
+    return np.array(
+        [
+            (s1 * c2 * s3 + s1 * s2 * c3 + c1 * s2 * s3) * r,
+            (s1 * s2 * s3 - s1 * c2 * c3 - s1 * c2 * c3) * r,
+            (s1 * s2 * s3 - s1 * c2 * c3 - s1 * c2 * c3) * r,
+            (c1 * c2 * c3 - s1 * s2 * c3 - s1 * c2 * s3) * r,
+            (s1 * s2 * s3 - c1 * s2 * c3 - c1 * c2 * c3) * r,
+            (c1 * c2 * c3 - s1 * s2 * c3 - c1 * s2 * s3) * r,
+            (c1 * c2 * c3 - s1 * c2 * s3 - c1 * s2 * s3) * r,
+            (s1 * c2 * c3 + c1 * s2 * c3 + c1 * c2 * s3) * r,
+        ],
+        dtype=complex,
+    )
+
+
+def audit_w_coefficient_table(angles) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Slots where the variant w table misses the boosted w, and slots where it equals the boosted w_prime.
+
+    Entries match within 1e-12. At generic angles every slot misses and
+    slots 0, 3, 5, 6, 7 equal w_prime. As X D(omega) X = D(-omega), and
+    X x X x X maps w to w_prime and slot i to 7 - i, the boosted w_prime is
+    ``w_coefficients`` at the negated angles, read backwards.
+    """
+    variant = w_variant_coefficients(angles)
+    w = w_coefficients(angles)
+    w_prime = w_coefficients([-float(o) for o in angles])[::-1]
+    mismatched = tuple(i for i in range(8) if abs(variant[i] - w[i]) > 1e-12)
+    partner = tuple(i for i in range(8) if abs(variant[i] - w_prime[i]) <= 1e-12)
+    return mismatched, partner
+
+
+def traced_overlap(tag: str, angles) -> float:
+    """Closed-form overlap g = <f|r> of the traced channel's two branches, for a named state.
+
+    U = D(omega1) x D(omega2) x D(omega3) is real orthogonal, so a real state
+    psi has branches f = U psi and r = U^T psi, and g = <psi|U^2|psi> is the
+    overlap at doubled angles. The nonzero traced spectrum is then
+    (1 +- sqrt(1 - sin(2 alpha)**2 * (1 - g**2))) / 2.
+    """
+    c1, s1, c2, s2, c3, s3 = _half_trig([2.0 * float(o) for o in angles])
+    if tag.startswith("ghz"):
+        return c1 * c2 * c3
+    return c1 * c2 * c3 - 2.0 / 3.0 * (s1 * s2 * c3 + s1 * c2 * s3 + c1 * s2 * s3)
+
+
+def traced_entropy_a(tag: str, angles, alpha: float) -> float:
+    """Closed-form entropy of qubit a after the traced channel, for a named state.
+
+    Each GHZ branch leaves qubit a at I/2. The w and w_prime marginal has
+    Bloch vector (0, 0, +-1/3); the branches turn it about y by +-omega1 and
+    mix with weights cos(alpha)**2 and sin(alpha)**2, which leaves the radius
+    r = sqrt(cos(omega1)**2 + cos(2 alpha)**2 * sin(omega1)**2) / 3.
+    """
+    if tag.startswith("ghz"):
+        return 1.0
+    omega1 = float(angles[0])
+    r = math.sqrt(math.cos(omega1) ** 2 + math.cos(2.0 * alpha) ** 2 * math.sin(omega1) ** 2) / 3.0
+    return -sum(p * math.log2(p) for p in ((1.0 + r) / 2.0, (1.0 - r) / 2.0))
 
 
 def _embed_bits(value: int, positions, qubit_count: int) -> int:

@@ -153,24 +153,19 @@ def parse_tie(text: str) -> tuple[str, str]:
 
 
 def _resolve_ties(ties) -> dict[str, str]:
-    """Map each tied axis to the free axis it ends up copying."""
+    """Map each tied axis to its leader, which must be a free axis."""
     tie_map: dict[str, str] = {}
     for tie in ties:
         follower, leader = parse_tie(tie)
         if follower in tie_map:
             raise ValueError(f"axis {follower!r} is tied twice")
         tie_map[follower] = leader
-    roots = {}
-    for follower in tie_map:
-        seen = {follower}
-        leader = tie_map[follower]
-        while leader in tie_map:
-            if leader in seen:
-                raise ValueError(f"tie cycle involving {follower!r}")
-            seen.add(leader)
-            leader = tie_map[leader]
-        roots[follower] = leader
-    return roots
+    for follower, leader in tie_map.items():
+        if leader in tie_map:
+            root = tie_map[leader]
+            direct = f", as in '{follower}={root}'" if root not in tie_map else ""
+            raise ValueError(f"tie '{follower}={leader}' leads to the tied axis {leader}; tie to a free axis{direct}")
+    return tie_map
 
 
 class _Plan(NamedTuple):
@@ -202,13 +197,13 @@ def _plan(state, measures, *, alpha=0.0, omega1=None, omega2=None, omega3=None, 
     if alpha != 0.0 and "three_tangle" in measures:
         raise ValueError(f"three_tangle is undefined for the mixed states of alpha {alpha!r}; use alpha 0")
 
-    roots = _resolve_ties(ties)
+    leaders = _resolve_ties(ties)
     specs = dict(zip(AXES, (omega1, omega2, omega3)))
-    for follower, leader in roots.items():
+    for follower, leader in leaders.items():
         if specs[follower] is not None:
             raise ValueError(f"axis {follower} is tied to {leader}; give it no grid or angle")
     # a free axis left None is the fixed angle 0
-    specs = {axis: 0.0 if spec is None else spec for axis, spec in specs.items() if axis not in roots}
+    specs = {axis: 0.0 if spec is None else spec for axis, spec in specs.items() if axis not in leaders}
     free_axes = list(specs)
     counts = (specs[axis].count if isinstance(specs[axis], SweepGrid) else 1 for axis in free_axes)
     rows = math.prod(counts) * len(measures)
@@ -218,7 +213,7 @@ def _plan(state, measures, *, alpha=0.0, omega1=None, omega2=None, omega3=None, 
         specs[axis].values() if isinstance(specs[axis], SweepGrid) else np.array([float(specs[axis])])
         for axis in free_axes
     )
-    sources = tuple(free_axes.index(roots.get(axis, axis)) for axis in AXES)
+    sources = tuple(free_axes.index(leaders.get(axis, axis)) for axis in AXES)
     return _Plan(state, measures, alpha, grids, sources)
 
 
@@ -279,14 +274,15 @@ def run_sweep(state: str, measures, **options) -> list[MeasureRecord]:
     Each axis is a fixed angle in radians, a :class:`SweepGrid`, or ``None``
     (the fixed angle 0). ``ties`` holds ``"follower=leader"`` strings such as
     ``"omega2=omega1"``; a follower copies its leader's current value, so a
-    value given for it raises ``ValueError``. Free axes iterate row-major
-    with omega1 outermost. ``alpha`` chooses the model: at 0 (or -0.0) each
-    point is the boosted pure state; any other ``alpha`` sends it through the
-    momentum-traced channel at that branch weight before measuring, and
-    refuses ``three_tangle``, which is undefined for the mixed output. Each
-    measure may be named once, ``alpha`` must be finite, and sweeps of more
-    than ``MAX_SWEEP_ROWS`` rows (grid points x measures) are refused with
-    ``ValueError`` before anything is allocated.
+    value given for it raises ``ValueError``, as does a leader that is tied
+    itself (beside ``omega2=omega1``, write ``omega3=omega1``). Free axes
+    iterate row-major with omega1 outermost. ``alpha`` chooses the model: at
+    0 (or -0.0) each point is the boosted pure state; any other ``alpha``
+    sends it through the momentum-traced channel at that branch weight before
+    measuring, and refuses ``three_tangle``, which is undefined for the mixed
+    output. Each measure may be named once, ``alpha`` must be finite, and
+    sweeps of more than ``MAX_SWEEP_ROWS`` rows (grid points x measures) are
+    refused with ``ValueError`` before anything is allocated.
     """
     plan = _plan(state, measures, **options)
     records = []

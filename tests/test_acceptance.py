@@ -13,7 +13,6 @@ from wignerqi.cli import main as cli_main
 from wignerqi.lorentz import (
     MomentumConfig,
     WignerAngles,
-    audit_w_coefficient_table,
     momentum_traced_channel,
     product_transform,
     product_transform_batch,
@@ -28,7 +27,13 @@ from wignerqi.measures import (
     three_tangle_batch,
     von_neumann_entropy,
 )
-from wignerqi.oracle import ghz_coefficients, haar_random_state, oracle_three_tangle, oracle_transform
+from wignerqi.oracle import (
+    audit_w_coefficient_table,
+    ghz_coefficients,
+    haar_random_state,
+    oracle_three_tangle,
+    oracle_transform,
+)
 from wignerqi.states import PureState, check_unit_norms, make_state, projectors, reduced, to_density
 
 TWO_PI = 2 * math.pi
@@ -231,16 +236,14 @@ def test_oracle_equivalence(rng):
     audit_ok = True
     mismatch_union = set()
     for _ in range(200):
-        report = audit_w_coefficient_table(WignerAngles(*rng.uniform(0.0, TWO_PI, 3)))
-        mismatch_union |= set(report.mismatched_indices)
-        if not {0, 3, 5, 6, 7} <= set(report.matches_flipped_partner):
+        mismatched, partner = audit_w_coefficient_table(WignerAngles(*rng.uniform(0.0, TWO_PI, 3)))
+        mismatch_union |= set(mismatched)
+        if not {0, 3, 5, 6, 7} <= set(partner):
             audit_ok = False
-    fixed = audit_w_coefficient_table((0.3, 0.7, 1.1))
     audit_ok = (
         audit_ok
         and mismatch_union == set(range(8))
-        and fixed.mismatched_indices == tuple(range(8))
-        and fixed.matches_flipped_partner == (0, 3, 5, 6, 7)
+        and audit_w_coefficient_table((0.3, 0.7, 1.1)) == (tuple(range(8)), (0, 3, 5, 6, 7))
     )
 
     ok = worst_transform < 1e-12 and worst_table < 1e-12 and audit_ok

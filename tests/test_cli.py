@@ -135,7 +135,13 @@ REFUSALS = {
     "tie_cycle": (
         sweep_argv("--measure", "entropy_a", "--tie", "omega2=omega1", "--tie", "omega1=omega2"),
         2,
-        "tie cycle involving",
+        "tie 'omega2=omega1' leads to the tied axis omega1; tie to a free axis",
+    ),
+    # a leader must be free; the refusal names the direct spelling of the chain
+    "tie_chain": (
+        sweep_argv("--measure", "entropy_a", "--tie", "omega3=omega2", "--tie", "omega2=omega1"),
+        2,
+        "leads to the tied axis omega2; tie to a free axis, as in 'omega3=omega1'",
     ),
     "value_on_tied_axis": (
         sweep_argv("--measure", "entropy_a", "--tie", "omega2=omega1", "--omega2", "1"),

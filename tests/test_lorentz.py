@@ -15,16 +15,13 @@ import wignerqi
 from wignerqi.lorentz import (
     MomentumConfig,
     WignerAngles,
-    audit_w_coefficient_table,
     momentum_traced_channel,
     momentum_traced_channel_batch,
     product_transform,
     product_transform_batch,
-    w_variant_coefficients,
     wigner_unitaries,
 )
 from wignerqi.measures import concurrence
-from wignerqi.oracle import ghz_coefficients, w_coefficients
 from wignerqi.qmath import partial_trace
 from wignerqi.states import STATE_TAGS, PureState, make_state, projectors, reduced, to_density, validate_density
 from wignerqi.sweep import AXES, CHUNK_POINTS, MEASURE_IDS, run_sweep
@@ -229,62 +226,6 @@ class TestProductTransformBatch:
                 wigner_unitaries([0.0, bad])
             with pytest.raises(ValueError, match="finite"):
                 wigner_unitaries([bad])
-
-
-class TestCoefficientTables:
-    def test_ghz_at_zero(self):
-        np.testing.assert_allclose(ghz_coefficients((0, 0, 0)), [SQ2, 0, 0, 0, 0, 0, 0, SQ2], atol=1e-15)
-
-    def test_ghz_first_half_turn(self):
-        # Only |011> and |100> survive: (0,0,0,-1,1,0,0,0)/sqrt(2).
-        np.testing.assert_allclose(
-            ghz_coefficients((np.pi, 0, 0)), [0, 0, 0, -SQ2, SQ2, 0, 0, 0], atol=1e-12
-        )
-
-    def test_ghz_matches_direct_transform(self, rng):
-        ghz = make_state("ghz_plus")
-        for _ in range(200):
-            angles = random_angles(rng)
-            np.testing.assert_allclose(
-                ghz_coefficients(angles), product_transform(ghz, angles).amplitudes, atol=1e-12
-            )
-
-    def test_w_at_zero(self):
-        sq3 = 1 / np.sqrt(3)
-        np.testing.assert_allclose(w_coefficients((0, 0, 0)), [0, sq3, sq3, 0, sq3, 0, 0, 0], atol=1e-15)
-
-    def test_w_matches_direct_transform(self, rng):
-        w = make_state("w")
-        for _ in range(200):
-            angles = random_angles(rng)
-            np.testing.assert_allclose(
-                w_coefficients(angles), product_transform(w, angles).amplitudes, atol=1e-12
-            )
-
-    def test_variant_table_not_normalized(self):
-        norm = np.linalg.norm(w_variant_coefficients((0.7, 1.3, 2.1)))
-        assert abs(norm - 1.0) > 1e-3
-
-    def test_variant_table_audit_at_generic_angles(self):
-        report = audit_w_coefficient_table((0.3, 0.7, 1.1))
-        assert report.mismatched_indices == (0, 1, 2, 3, 4, 5, 6, 7)
-        assert report.matches_flipped_partner == (0, 3, 5, 6, 7)
-        assert report.max_abs_deviation > 0.1
-
-    def test_variant_table_audit_over_random_angles(self, rng):
-        seen = set()
-        for _ in range(100):
-            report = audit_w_coefficient_table(random_angles(rng))
-            seen.update(report.mismatched_indices)
-            assert {0, 3, 5, 6, 7} <= set(report.matches_flipped_partner)
-        assert seen == set(range(8))
-
-    def test_variant_table_matches_direct_w_nowhere_generic(self, rng):
-        w = make_state("w")
-        for _ in range(50):
-            angles = random_angles(rng)
-            dev = np.abs(w_variant_coefficients(angles) - product_transform(w, angles).amplitudes)
-            assert np.all(dev > 1e-12)
 
 
 class TestMomentumTracedChannel:

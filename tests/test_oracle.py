@@ -7,10 +7,20 @@ from wignerqi.lorentz import (
     MomentumConfig,
     WignerAngles,
     momentum_traced_channel,
+    momentum_traced_channel_batch,
     product_transform,
+    wigner_unitaries,
 )
-from wignerqi.measures import average_capacity, concurrence, pair_capacity, von_neumann_entropy
+from wignerqi.measures import (
+    average_capacity,
+    concurrence,
+    pair_capacity,
+    von_neumann_entropy,
+    von_neumann_entropy_batch,
+)
 from wignerqi.oracle import (
+    audit_w_coefficient_table,
+    ghz_coefficients,
     haar_random_state,
     oracle_concurrence_mixed,
     oracle_concurrence_pure,
@@ -20,10 +30,20 @@ from wignerqi.oracle import (
     oracle_three_tangle,
     oracle_traced_channel,
     oracle_transform,
+    traced_entropy_a,
+    traced_overlap,
+    w_coefficients,
+    w_variant_coefficients,
 )
 from wignerqi.qmath import partial_trace
 from wignerqi.states import STATE_TAGS, DensityOperator, PureState, make_state, reduced, to_density
 from wignerqi.sweep import FIGURE_NAMES, SweepGrid, run_figure
+
+SQ2 = 1 / np.sqrt(2)
+
+
+def random_angles(rng):
+    return WignerAngles(*rng.uniform(0.0, 2.0 * np.pi, 3))
 
 
 def random_density(rng, qubit_count):
@@ -36,6 +56,117 @@ def random_density(rng, qubit_count):
         amps /= np.linalg.norm(amps)
         rho += w * np.outer(amps, amps.conj())
     return DensityOperator(rho)
+
+
+class TestCoefficientTables:
+    def test_ghz_at_zero(self):
+        np.testing.assert_allclose(ghz_coefficients((0, 0, 0)), [SQ2, 0, 0, 0, 0, 0, 0, SQ2], atol=1e-15)
+
+    def test_ghz_first_half_turn(self):
+        # Only |011> and |100> survive: (0,0,0,-1,1,0,0,0)/sqrt(2).
+        np.testing.assert_allclose(
+            ghz_coefficients((np.pi, 0, 0)), [0, 0, 0, -SQ2, SQ2, 0, 0, 0], atol=1e-12
+        )
+
+    def test_ghz_matches_direct_transform(self, rng):
+        ghz = make_state("ghz_plus")
+        for _ in range(200):
+            angles = random_angles(rng)
+            np.testing.assert_allclose(
+                ghz_coefficients(angles), product_transform(ghz, angles).amplitudes, atol=1e-12
+            )
+
+    def test_w_at_zero(self):
+        sq3 = 1 / np.sqrt(3)
+        np.testing.assert_allclose(w_coefficients((0, 0, 0)), [0, sq3, sq3, 0, sq3, 0, 0, 0], atol=1e-15)
+
+    def test_w_matches_direct_transform(self, rng):
+        w = make_state("w")
+        for _ in range(200):
+            angles = random_angles(rng)
+            np.testing.assert_allclose(
+                w_coefficients(angles), product_transform(w, angles).amplitudes, atol=1e-12
+            )
+
+    def test_variant_table_not_normalized(self):
+        norm = np.linalg.norm(w_variant_coefficients((0.7, 1.3, 2.1)))
+        assert abs(norm - 1.0) > 1e-3
+
+    def test_w_prime_is_the_w_table_at_negated_angles_read_backwards(self, rng):
+        # X D(omega) X = D(-omega), and X x X x X maps w to w_prime and slot i to 7 - i
+        w_prime = make_state("w_prime")
+        for _ in range(200):
+            angles = rng.uniform(-4 * np.pi, 4 * np.pi, 3)
+            np.testing.assert_allclose(
+                w_coefficients(-angles)[::-1], product_transform(w_prime, angles).amplitudes, rtol=0, atol=1e-15
+            )
+
+    def test_variant_table_audit_at_generic_angles(self):
+        angles = (0.3, 0.7, 1.1)
+        assert audit_w_coefficient_table(angles) == ((0, 1, 2, 3, 4, 5, 6, 7), (0, 3, 5, 6, 7))
+        w = product_transform(make_state("w"), angles).amplitudes
+        assert np.abs(w_variant_coefficients(angles) - w).max() > 0.1
+
+    def test_variant_table_audit_over_random_angles(self, rng):
+        seen = set()
+        for _ in range(100):
+            mismatched, partner = audit_w_coefficient_table(random_angles(rng))
+            seen.update(mismatched)
+            assert {0, 3, 5, 6, 7} <= set(partner)
+        assert seen == set(range(8))
+
+    def test_variant_table_matches_direct_w_nowhere_generic(self, rng):
+        w = make_state("w")
+        for _ in range(50):
+            angles = random_angles(rng)
+            dev = np.abs(w_variant_coefficients(angles) - product_transform(w, angles).amplitudes)
+            assert np.all(dev > 1e-12)
+
+
+# Derived, not fitted: each entry of a traced density carries a few
+# roundings (half-angle cos and sin, three-factor products, an 8-term sum,
+# the branch weights), eigvalsh adds a backward error of order 8*eps*||rho||
+# with ||rho|| <= 1, and the binary entropy has slope at most 1 for the
+# radii r <= 1/3 here. So each compared value is good to a few tens of eps;
+# the worst seen over these points is 7 eps.
+CLOSED_FORM_ATOL = 64 * np.finfo(float).eps
+
+
+class TestTracedClosedForms:
+    """The traced channel against its Gram closed forms (see traced_overlap and traced_entropy_a)."""
+
+    @pytest.mark.parametrize("tag", STATE_TAGS)
+    def test_batch_spectrum_and_marginal_entropy(self, rng, tag):
+        angles = rng.uniform(-4 * np.pi, 4 * np.pi, (2000, 3))
+        alphas = rng.uniform(-np.pi, np.pi, 50)
+        # the batch kernel takes one alpha, so each alpha gets 40 of the points
+        rho = np.concatenate(
+            [
+                momentum_traced_channel_batch(make_state(tag).amplitudes, [wigner_unitaries(o) for o in chunk.T], alpha)
+                for chunk, alpha in zip(np.split(angles, len(alphas)), alphas)
+            ]
+        )
+        alpha = np.repeat(alphas, len(angles) // len(alphas))
+        g = np.array([traced_overlap(tag, point) for point in angles.tolist()])
+        lam = np.linalg.eigvalsh(rho)
+        # compare the invariants, not (1 +- sqrt(...))/2, whose root of a cancelling difference loses digits
+        assert np.abs(lam[:, :6]).max() <= CLOSED_FORM_ATOL
+        assert np.abs(lam[:, 6] + lam[:, 7] - 1.0).max() <= CLOSED_FORM_ATOL
+        assert np.abs(lam[:, 6] * lam[:, 7] - np.sin(2 * alpha) ** 2 * (1 - g**2) / 4).max() <= CLOSED_FORM_ATOL
+        entropy_a = von_neumann_entropy_batch(partial_trace(rho, (0,)))
+        expected = [traced_entropy_a(tag, point, a) for point, a in zip(angles.tolist(), alpha.tolist())]
+        assert np.abs(entropy_a - expected).max() <= CLOSED_FORM_ATOL
+
+    @pytest.mark.parametrize("tag", STATE_TAGS)
+    def test_scalar_api(self, rng, tag):
+        for _ in range(5):
+            angles, alpha = rng.uniform(-4 * np.pi, 4 * np.pi, 3), rng.uniform(-np.pi, np.pi)
+            rho = momentum_traced_channel(make_state(tag), angles, MomentumConfig(alpha))
+            lam = np.linalg.eigvalsh(rho.matrix)
+            product = math.sin(2 * alpha) ** 2 * (1 - traced_overlap(tag, angles) ** 2) / 4
+            assert abs(lam[6] * lam[7] - product) <= CLOSED_FORM_ATOL
+            entropy_a = von_neumann_entropy(reduced(rho, (0,)))
+            assert abs(entropy_a - traced_entropy_a(tag, angles, alpha)) <= CLOSED_FORM_ATOL
 
 
 class TestOracleTransform:

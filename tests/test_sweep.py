@@ -185,14 +185,15 @@ class TestRunSweep:
             (1.0, 1.0, 2.0),
         ]
 
-    def test_transitive_tie(self):
-        records = run_sweep(
-            "w",
-            ["entropy_a"],
-            omega1=SweepGrid(0.0, 1.0, 3),
-            ties=("omega2=omega1", "omega3=omega2"),
-        )
-        assert all(r.omega1 == r.omega2 == r.omega3 for r in records)
+    def test_transitive_tie(self, tmp_path):
+        # a leader must be free: a chain is refused with its direct spelling, in either order
+        for ties in (("omega2=omega1", "omega3=omega2"), ("omega3=omega2", "omega2=omega1")):
+            message = "tie 'omega3=omega2' leads to the tied axis omega2; tie to a free axis, as in 'omega3=omega1'"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run_sweep("w", ["entropy_a"], omega1=SweepGrid(0.0, 1.0, 3), ties=ties)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sweep.write_sweep(tmp_path / "chain.csv", "w", ["entropy_a"], omega1=SweepGrid(0.0, 1.0, 3), ties=ties)
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic(self):
         kwargs = dict(
@@ -246,7 +247,7 @@ class TestRunSweep:
             run_sweep("w", ["three_tangle"], alpha=0.5)
         with pytest.raises(ValueError, match="tied twice"):
             run_sweep("w", ["entropy_a"], ties=("omega2=omega1", "omega2=omega3"))
-        with pytest.raises(ValueError, match="cycle"):
+        with pytest.raises(ValueError, match="leads to the tied axis omega1; tie to a free axis$"):
             run_sweep("w", ["entropy_a"], ties=("omega2=omega1", "omega1=omega2"))
         with pytest.raises(ValueError, match="malformed tie"):
             run_sweep("w", ["entropy_a"], ties=[("omega2", "omega1")])
@@ -286,7 +287,7 @@ class TestRunSweep:
     def test_rejects_a_value_on_a_tied_axis(self, tmp_path):
         # a tied axis copies its leader, so a grid or angle given for it would be dropped
         out = tmp_path / "tied.csv"
-        for ties, axis in ((["omega2=omega1"], "omega2"), (["omega2=omega1", "omega3=omega2"], "omega3")):
+        for ties, axis in ((["omega2=omega1"], "omega2"), (["omega2=omega1", "omega3=omega1"], "omega3")):
             for value in (SweepGrid(0.0, 3.0, 7), 0.4, 0.0):
                 kwargs = {"omega1": SweepGrid(0.0, 1.0, 2), axis: value, "ties": ties}
                 with pytest.raises(ValueError, match=f"axis {axis} is tied"):
