@@ -34,7 +34,7 @@ for tag in ("ghz_plus", "w"):
     for _ in range(8):
         angles = WignerAngles(*rng.uniform(0, 2 * math.pi, 3))
         boosted = product_transform(make_state(tag), angles)
-        values.append(average_capacity(to_density(boosted)).average)
+        values.append(average_capacity(boosted).average)
     print(f"  {tag:9s}: min {min(values):.12f}  max {max(values):.12f}")
 
 bell = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2))

@@ -10,6 +10,9 @@ three-qubit states only.
 Each measure has one implementation, a ``*_batch`` kernel over a stack of
 matrices (or amplitude vectors) along leading axes; the public function of
 the same name calls it on its single matrix, a stack with no leading axis.
+The average capacity has one formula and two kernels: :func:`average_capacity_batch`
+over density stacks and :func:`pure_capacity_batch` over pure amplitude rows (by
+Schmidt symmetry). Qubit spectra are taken in closed form, with no eigensolve.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ from .states import DensityOperator, PureState, projectors
 
 # sigma_y x sigma_y is anti-diagonal: rho_tilde is rho* reversed on both axes, signed by this table
 _FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
+# _MARGINAL_INDEX[k, q, i] is the basis index whose qubit q is i and whose other two qubits spell k
+_MARGINAL_INDEX = np.array(
+    [[[int(f"{k:02b}"[:q] + str(i) + f"{k:02b}"[q:], 2) for i in (0, 1)] for q in range(3)] for k in range(4)]
+)
+_MINUS_PLUS = np.array([-1.0, 1.0])
 # Relative zero floor of the concurrence spectrum (see concurrence_batch).
 _SPECTRUM_FLOOR = 128.0 * np.finfo(float).eps
 
@@ -80,11 +88,29 @@ def fidelity_vs_target(rho: DensityOperator, target: PureState) -> float:
     return float(fidelity_vs_target_batch(rho.matrix, target.amplitudes))
 
 
+def _qubit_spectra(a, b, c_abs) -> np.ndarray:
+    """Ascending spectra (a + b)/2 -+ hypot((a - b)/2, |c|) of Hermitian [[a, c*], [c, b]], on a new last axis."""
+    mean, radius = 0.5 * (a + b), np.hypot(0.5 * (a - b), c_abs)
+    # mean + radius * -1 is mean - radius exactly; broadcasting beats np.stack on one matrix
+    return mean[..., None] + radius[..., None] * _MINUS_PLUS
+
+
+def _entropies(spectra) -> np.ndarray:
+    """-sum(p * log2(p)) over the last axis, with 0*log0 = 0."""
+    logs = np.log2(spectra, out=np.zeros_like(spectra), where=spectra > 0.0)
+    return -(spectra * logs).sum(axis=-1)
+
+
 def von_neumann_entropy_batch(matrices) -> np.ndarray:
-    """Entropies -sum(p * log2(p)) of each spectrum of a (..., d, d) stack, with 0*log0 = 0."""
-    p = np.linalg.eigvalsh(matrices)
-    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
-    return -(p * logs).sum(axis=-1)
+    """Entropies -sum(p * log2(p)) of each spectrum of a (..., d, d) stack, with 0*log0 = 0.
+
+    Qubit spectra (d = 2) are taken in closed form, larger ones by ``eigvalsh``;
+    both read the lower triangle.
+    """
+    m = np.asarray(matrices)
+    if m.shape[-2:] == (2, 2):
+        return _entropies(_qubit_spectra(m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 1, 0])))
+    return _entropies(np.linalg.eigvalsh(m))
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -112,10 +138,14 @@ def clamp_capacity_batch(raw) -> np.ndarray:
     return np.where(inside, raw, np.clip(raw, 0.0, 2.0))
 
 
+def _capacities(sender, pair) -> np.ndarray:
+    """Clamped capacities 1 + S(rho_i) - S(rho_ij) from sender and pair entropies."""
+    return clamp_capacity_batch(1.0 + sender - pair)
+
+
 def pair_capacity_batch(pairs) -> np.ndarray:
     """Capacities 1 + S(rho_i) - S(rho_ij) of a (..., 4, 4) stack of validated pair states."""
-    marginals = partial_trace(pairs, (0,))
-    return clamp_capacity_batch(1.0 + von_neumann_entropy_batch(marginals) - von_neumann_entropy_batch(pairs))
+    return _capacities(von_neumann_entropy_batch(partial_trace(pairs, (0,))), von_neumann_entropy_batch(pairs))
 
 
 def pair_capacity(rho_pair: DensityOperator) -> float:
@@ -129,20 +159,56 @@ def pair_capacity(rho_pair: DensityOperator) -> float:
     return float(pair_capacity_batch(rho_pair.matrix))
 
 
+def _with_mean(ab, ac, bc):
+    """The three pair capacities followed by their mean."""
+    return ab, ac, bc, (ab + ac + bc) / 3.0
+
+
 def average_capacity_batch(matrices):
     """Pair capacities ab, ac, bc and their mean for a (..., 8, 8) stack of validated states.
 
     Returns four arrays with the stack's leading shape.
     """
-    ab, ac, bc = pair_capacity_batch(np.stack([partial_trace(matrices, pair) for pair in ((0, 1), (0, 2), (1, 2))]))
-    return ab, ac, bc, (ab + ac + bc) / 3.0
+    pairs = np.stack([partial_trace(matrices, pair) for pair in ((0, 1), (0, 2), (1, 2))])
+    return _with_mean(*pair_capacity_batch(pairs))
 
 
-def average_capacity(rho_abc: DensityOperator) -> CapacityBreakdown:
-    """Mean of the three pair capacities of a three-qubit state."""
-    if rho_abc.qubit_count != 3:
-        raise ValueError(f"average_capacity expects 3 qubits, got {rho_abc.qubit_count}")
-    return CapacityBreakdown(*map(float, average_capacity_batch(rho_abc.matrix)))
+def pure_capacity_batch(amplitudes):
+    """Pair capacities ab, ac, bc and their mean for an (..., 8) stack of unit-norm amplitude rows.
+
+    Returns what :func:`average_capacity_batch` returns for the rows'
+    projectors, up to roundoff, with no eigensolve: for a pure three-qubit
+    state S(rho_ij) = S(rho_k) (Schmidt symmetry), so pair (i, j) has capacity
+    1 + S(rho_i) - S(rho_k). The one-qubit marginals rho_q = A_q A_q^dagger,
+    with A_q the 2x4 reshape of the amplitudes with qubit q first, are formed
+    in fixed-order real arithmetic, so no BLAS call sets their roundoff.
+    """
+    # entries A_q[i, k] on axes (k, q, i), the points last so every loop runs over them
+    entries = np.moveaxis(np.asarray(amplitudes), -1, 0)[_MARGINAL_INDEX]
+    re, im = entries.real, entries.imag
+    # rho_q[i, i] sums |A_q[i, k]|**2 and rho_q[1, 0] sums A_q[1, k] * conj(A_q[0, k]), in the order k = 0..3
+    squares = re * re + im * im
+    lower_re = re[:, :, 1] * re[:, :, 0] + im[:, :, 1] * im[:, :, 0]
+    lower_im = im[:, :, 1] * re[:, :, 0] - re[:, :, 1] * im[:, :, 0]
+    diagonal, lower_re, lower_im = (x[0] + x[1] + x[2] + x[3] for x in (squares, lower_re, lower_im))
+    entropies = _entropies(_qubit_spectra(diagonal[:, 0], diagonal[:, 1], np.hypot(lower_re, lower_im)))
+    # pairs ab, ac, bc: senders 0, 0, 1; S(rho_ab) = S(rho_2), S(rho_ac) = S(rho_1), S(rho_bc) = S(rho_0)
+    return _with_mean(*_capacities(entropies[[0, 0, 1]], entropies[[2, 1, 0]]))
+
+
+def average_capacity(state: PureState | DensityOperator) -> CapacityBreakdown:
+    """Mean of the three pair capacities of a three-qubit state.
+
+    A :class:`PureState` is one row of :func:`pure_capacity_batch`; a
+    :class:`DensityOperator` takes :func:`average_capacity_batch`.
+    """
+    if state.qubit_count != 3:
+        raise ValueError(f"average_capacity expects 3 qubits, got {state.qubit_count}")
+    if isinstance(state, PureState):
+        capacities = pure_capacity_batch(state.amplitudes)
+    else:
+        capacities = average_capacity_batch(state.matrix)
+    return CapacityBreakdown(*map(float, capacities))
 
 
 def concurrence_batch(pairs) -> np.ndarray:

@@ -31,6 +31,7 @@ from .measures import (
     concurrence_batch,
     fidelity_pure_batch,
     fidelity_vs_target_batch,
+    pure_capacity_batch,
     three_tangle_batch,
     von_neumann_entropy_batch,
 )
@@ -218,13 +219,11 @@ def _plan(state, measures, *, alpha=0.0, omega1=None, omega2=None, omega3=None, 
 
 
 def _column(measure: str, rho) -> np.ndarray:
-    """A measure other than the fidelities, over a chunk's certified (n, 8, 8) density stack."""
+    """avg_capacity, three_tangle or entropy_a over a chunk's certified (n, 8, 8) density stack."""
     if measure == "avg_capacity":
         return average_capacity_batch(rho)[3]
     if measure == "three_tangle":
         return three_tangle_batch(rho)[3]
-    if measure in _PAIRS:
-        return concurrence_batch(partial_trace(rho, _PAIRS[measure]))
     return von_neumann_entropy_batch(partial_trace(rho, (0,)))  # entropy_a
 
 
@@ -237,16 +236,19 @@ def _chunks(plan: _Plan, rotations):
     index on every free axis, and ``values`` maps each measure to its n
     values as a float64 array.
     Every measure is a kernel over the whole block. At alpha 0 the block is
-    the pure transform: fidelities read its (n, 8) amplitudes, and every other
-    measure reads their projectors (built only if some measure reads them).
-    At any other alpha every measure reads the block's traced-channel output.
+    the pure transform: fidelities and the average capacity read its (n, 8)
+    amplitudes, and every other measure reads their projectors (built only if
+    some measure reads them). At any other alpha every measure reads the
+    block's traced-channel output. The requested pair concurrences share one
+    call over their stacked (k, n, 4, 4) reductions.
     Every transformed row is checked to unit norm, which certifies every
     density formed from it (see :func:`~wignerqi.states.projectors`), so no
     stack is eigensolved to validate it.
     """
     psi0 = make_state(plan.state)
     targets = {m: make_state(_FIDELITY_TARGETS[m]).amplitudes for m in plan.measures if m in _FIDELITY_TARGETS}
-    needs_rho = any(m not in targets for m in plan.measures)
+    pairs = [m for m in plan.measures if m in _PAIRS]
+    needs_projectors = any(m not in targets and m != "avg_capacity" for m in plan.measures)
     shape = tuple(map(len, plan.grids))
     total = math.prod(shape)
     for start in range(0, total, CHUNK_POINTS):
@@ -256,10 +258,14 @@ def _chunks(plan: _Plan, rotations):
             amps = product_transform_batch(psi0.amplitudes, *point_rotations)
             check_unit_norms(amps)
             values = {m: fidelity_pure_batch(amps, t) for m, t in targets.items()}
-            rho = projectors(amps) if needs_rho else None
+            if "avg_capacity" in plan.measures:
+                values["avg_capacity"] = pure_capacity_batch(amps)[3]
+            rho = projectors(amps) if needs_projectors else None
         else:
             rho = momentum_traced_channel_batch(psi0.amplitudes, point_rotations, plan.alpha)
             values = {m: fidelity_vs_target_batch(rho, t) for m, t in targets.items()}
+        if pairs:
+            values.update(zip(pairs, concurrence_batch(np.stack([partial_trace(rho, _PAIRS[m]) for m in pairs]))))
         for measure in plan.measures:
             if measure not in values:
                 values[measure] = _column(measure, rho)

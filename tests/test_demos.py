@@ -46,10 +46,11 @@ def test_readme_quick_start_prints_what_its_comments_claim(rng):
         turned = [o + 2 * math.pi * (k == axis) for k, o in enumerate(angles)]
         fidelity = fidelity_pure(ghz, product_transform(ghz, turned))
         assert fidelity == pytest.approx(values[0], rel=0, abs=QUICK_START_ATOL)
-    # capacity and tangle are 1 at any angles
+    # capacity and tangle are 1 at any angles; the capacity by the pure and the general route
     for other in rng.uniform(-4 * np.pi, 4 * np.pi, (20, 3)):
         boosted = product_transform(ghz, other)
-        assert average_capacity(to_density(boosted)).average == pytest.approx(1.0, rel=0, abs=QUICK_START_ATOL)
+        for state in (boosted, to_density(boosted)):
+            assert average_capacity(state).average == pytest.approx(1.0, rel=0, abs=QUICK_START_ATOL)
         assert three_tangle(boosted).three_tangle == pytest.approx(1.0, rel=0, abs=QUICK_START_ATOL)
     # alpha = pi/4 weighs the branches equally, and here they are orthogonal
     forward = product_transform(ghz, angles).amplitudes

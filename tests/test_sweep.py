@@ -373,8 +373,8 @@ def per_point_value(measure, psi, rho):
     if measure in FIDELITY_TARGETS:
         target = make_state(FIDELITY_TARGETS[measure])
         return fidelity_pure(psi, target) if psi is not None else fidelity_vs_target(rho, target)
-    if measure == "avg_capacity":
-        return average_capacity(rho).average
+    if measure == "avg_capacity":  # a pure state takes the Schmidt-symmetry kernel, as the pure sweep does
+        return average_capacity(rho if psi is None else psi).average
     if measure == "three_tangle":
         return three_tangle(psi).three_tangle
     if measure in PAIRS:
@@ -465,12 +465,13 @@ class TestDensityCertificate:
         # presets 3a-4b: 257 points for each of four omega3 values, pure and traced
         points = 4 * 257
         assert counts == {
-            "wignerqi.sweep.projectors": 4 * points,  # pure capacities and tangles
+            # pure tangles; the pure capacities read the amplitudes and form no density stack
+            "wignerqi.sweep.projectors": 2 * points,
             "wignerqi.lorentz.projectors": 2 * 4 * points,  # both branches of every traced point
             "wignerqi.sweep.momentum_traced_channel_batch": 4 * points,
             "wignerqi.sweep.partial_trace": 2 * 3 * points,  # traced pair concurrences of 4a, 4b
-            # capacities: three pairs and their marginals; tangles: one-qubit and two pairs
-            "wignerqi.measures.partial_trace": 2 * 2 * 6 * points + 2 * 3 * points,
+            # traced capacities: three pairs and their marginals; pure tangles: one-qubit and two pairs
+            "wignerqi.measures.partial_trace": 2 * 6 * points + 2 * 3 * points,
         }
 
     @settings(max_examples=100, deadline=None)
