@@ -12,7 +12,9 @@ matrices (or amplitude vectors) along leading axes; the public function of
 the same name calls it on its single matrix, a stack with no leading axis.
 The average capacity has one formula and two kernels: :func:`average_capacity_batch`
 over density stacks and :func:`pure_capacity_batch` over pure amplitude rows (by
-Schmidt symmetry). Qubit spectra are taken in closed form, with no eigensolve.
+Schmidt symmetry). Kernels over amplitude rows take their reductions from
+:func:`~wignerqi.states.pure_reductions`, not from a projector stack. Qubit
+spectra are taken in closed form, with no eigensolve.
 """
 
 from __future__ import annotations
@@ -23,14 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmath import NumericValidationError, matrix_sqrt_psd, partial_trace
-from .states import DensityOperator, PureState, projectors
+from .states import DensityOperator, PureState, pure_reductions
 
 # sigma_y x sigma_y is anti-diagonal: rho_tilde is rho* reversed on both axes, signed by this table
 _FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
-# _MARGINAL_INDEX[k, q, i] is the basis index whose qubit q is i and whose other two qubits spell k
-_MARGINAL_INDEX = np.array(
-    [[[int(f"{k:02b}"[:q] + str(i) + f"{k:02b}"[q:], 2) for i in (0, 1)] for q in range(3)] for k in range(4)]
-)
 _MINUS_PLUS = np.array([-1.0, 1.0])
 # Relative zero floor of the concurrence spectrum (see concurrence_batch).
 _SPECTRUM_FLOOR = 128.0 * np.finfo(float).eps
@@ -95,12 +93,6 @@ def _qubit_spectra(a, b, c_abs) -> np.ndarray:
     return mean[..., None] + radius[..., None] * _MINUS_PLUS
 
 
-def _entropies(spectra) -> np.ndarray:
-    """-sum(p * log2(p)) over the last axis, with 0*log0 = 0."""
-    logs = np.log2(spectra, out=np.zeros_like(spectra), where=spectra > 0.0)
-    return -(spectra * logs).sum(axis=-1)
-
-
 def von_neumann_entropy_batch(matrices) -> np.ndarray:
     """Entropies -sum(p * log2(p)) of each spectrum of a (..., d, d) stack, with 0*log0 = 0.
 
@@ -109,8 +101,12 @@ def von_neumann_entropy_batch(matrices) -> np.ndarray:
     """
     m = np.asarray(matrices)
     if m.shape[-2:] == (2, 2):
-        return _entropies(_qubit_spectra(m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 1, 0])))
-    return _entropies(np.linalg.eigvalsh(m))
+        spectra = _qubit_spectra(m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 1, 0]))
+    else:
+        spectra = np.linalg.eigvalsh(m)
+    logs = np.log2(spectra, out=np.zeros_like(spectra), where=spectra > 0.0)
+    # 0.0 - x is -x except at x = 0.0, a pure state's sum, where -x would be -0.0
+    return 0.0 - (spectra * logs).sum(axis=-1)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -179,19 +175,10 @@ def pure_capacity_batch(amplitudes):
     Returns what :func:`average_capacity_batch` returns for the rows'
     projectors, up to roundoff, with no eigensolve: for a pure three-qubit
     state S(rho_ij) = S(rho_k) (Schmidt symmetry), so pair (i, j) has capacity
-    1 + S(rho_i) - S(rho_k). The one-qubit marginals rho_q = A_q A_q^dagger,
-    with A_q the 2x4 reshape of the amplitudes with qubit q first, are formed
-    in fixed-order real arithmetic, so no BLAS call sets their roundoff.
+    1 + S(rho_i) - S(rho_k). The one-qubit marginals rho_q come from
+    :func:`~wignerqi.states.pure_reductions`, so no BLAS call sets their roundoff.
     """
-    # entries A_q[i, k] on axes (k, q, i), the points last so every loop runs over them
-    entries = np.moveaxis(np.asarray(amplitudes), -1, 0)[_MARGINAL_INDEX]
-    re, im = entries.real, entries.imag
-    # rho_q[i, i] sums |A_q[i, k]|**2 and rho_q[1, 0] sums A_q[1, k] * conj(A_q[0, k]), in the order k = 0..3
-    squares = re * re + im * im
-    lower_re = re[:, :, 1] * re[:, :, 0] + im[:, :, 1] * im[:, :, 0]
-    lower_im = im[:, :, 1] * re[:, :, 0] - re[:, :, 1] * im[:, :, 0]
-    diagonal, lower_re, lower_im = (x[0] + x[1] + x[2] + x[3] for x in (squares, lower_re, lower_im))
-    entropies = _entropies(_qubit_spectra(diagonal[:, 0], diagonal[:, 1], np.hypot(lower_re, lower_im)))
+    entropies = von_neumann_entropy_batch(np.stack([pure_reductions(amplitudes, (q,)) for q in range(3)]))
     # pairs ab, ac, bc: senders 0, 0, 1; S(rho_ab) = S(rho_2), S(rho_ac) = S(rho_1), S(rho_bc) = S(rho_0)
     return _with_mean(*_capacities(entropies[[0, 0, 1]], entropies[[2, 1, 0]]))
 
@@ -238,20 +225,20 @@ def concurrence(rho: DensityOperator) -> float:
     return float(concurrence_batch(rho.matrix))
 
 
-def three_tangle_batch(projectors):
-    """Squared tangle components of a (..., 8, 8) stack of validated pure-state projectors.
+def three_tangle_batch(amplitudes):
+    """Squared tangle components of an (..., 8) stack of unit-norm amplitude rows.
 
     Returns the arrays ``(one_tangle_sq, c12_sq, c13_sq, three_tangle)``,
     each with the stack's leading shape; see :class:`TangleBreakdown`.
     """
-    m = partial_trace(projectors, (0,))
+    m = pure_reductions(amplitudes, (0,))
     a, b, c, d = m[..., 0, 0], m[..., 1, 1], m[..., 0, 1], m[..., 1, 0]
     # Re(a*b - c*d) in real arithmetic: numpy's complex array product may fuse
     # multiply-adds, the real ufuncs round each product once
     det = (a.real * b.real - a.imag * b.imag) - (c.real * d.real - c.imag * d.imag)
     det = np.clip(det, 0.0, 0.25)  # p(1-p) for a qubit marginal; clamp roundoff
     one_tangle = 2.0 * np.sqrt(det)
-    c_first, c_second = concurrence_batch(np.stack([partial_trace(projectors, pair) for pair in ((0, 1), (0, 2))]))
+    c_first, c_second = concurrence_batch(np.stack([pure_reductions(amplitudes, pair) for pair in ((0, 1), (0, 2))]))
     one_sq = one_tangle * one_tangle
     c12_sq = c_first * c_first
     c13_sq = c_second * c_second
@@ -265,9 +252,8 @@ def three_tangle(psi: PureState) -> TangleBreakdown:
     concurrences of the pairs (0, 1) and (0, 2). Any other focus qubit gives
     the same value (Coffman, Kundu & Wootters, PRA 61, 052306, 2000). Mixed
     states are out of scope (the convex-roof extension is not implemented).
-    The kernel reads the projector of ``psi``, which its checked norm
-    certifies.
+    The one-row case of :func:`three_tangle_batch`.
     """
     if psi.qubit_count != 3:
         raise ValueError(f"three_tangle expects 3 qubits, got {psi.qubit_count}")
-    return TangleBreakdown(*map(float, three_tangle_batch(projectors(psi.amplitudes))))
+    return TangleBreakdown(*map(float, three_tangle_batch(psi.amplitudes)))

@@ -2,7 +2,8 @@
 
 The four named three-qubit states swept by this library are built by
 :func:`make_state`; everything else is generic plumbing around validated
-amplitude vectors and density matrices.
+amplitude vectors and density matrices. :func:`pure_reductions` forms the
+reduced states of amplitude vectors without their projectors.
 """
 
 from __future__ import annotations
@@ -162,6 +163,25 @@ def projectors(amplitudes) -> np.ndarray:
     """
     a = np.asarray(amplitudes)
     return a[..., :, None] * a.conj()[..., None, :]
+
+
+def pure_reductions(amplitudes, keep) -> np.ndarray:
+    """Bit for bit ``partial_trace(projectors(amplitudes), keep)`` for strictly increasing ``keep``.
+
+    Forms no (..., d, d) stack: each row is gathered with the kept qubits
+    first, and the products of its pieces are summed in pairs, highest traced
+    qubit first, as :func:`~wignerqi.qmath.partial_trace` adds.
+    """
+    a = np.asarray(amplitudes)
+    qubit_count = a.shape[-1].bit_length() - 1
+    traced = [q for q in range(qubit_count) if q not in keep]
+    index = np.arange(a.shape[-1]).reshape((2,) * qubit_count).transpose(*keep, *traced).reshape(2 ** len(keep), -1)
+    y = a[..., index]
+    m = y[..., :, None, :] * y.conj()[..., None, :, :]
+    while m.shape[-1] > 1:
+        m = m[..., 0::2] + m[..., 1::2]
+    # as partial_trace: + 0.0 turns a traced total's -0.0 into +0.0; an untraced matrix keeps its zeros' signs
+    return m[..., 0] + 0.0 if traced else m[..., 0]
 
 
 def _certified_density(matrix) -> DensityOperator:

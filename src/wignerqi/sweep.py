@@ -36,7 +36,7 @@ from .measures import (
     von_neumann_entropy_batch,
 )
 from .qmath import partial_trace
-from .states import STATE_TAGS, check_unit_norms, make_state, projectors
+from .states import STATE_TAGS, check_unit_norms, make_state, pure_reductions
 
 TWO_PI = 2.0 * math.pi
 
@@ -218,15 +218,6 @@ def _plan(state, measures, *, alpha=0.0, omega1=None, omega2=None, omega3=None, 
     return _Plan(state, measures, alpha, grids, sources)
 
 
-def _column(measure: str, rho) -> np.ndarray:
-    """avg_capacity, three_tangle or entropy_a over a chunk's certified (n, 8, 8) density stack."""
-    if measure == "avg_capacity":
-        return average_capacity_batch(rho)[3]
-    if measure == "three_tangle":
-        return three_tangle_batch(rho)[3]
-    return von_neumann_entropy_batch(partial_trace(rho, (0,)))  # entropy_a
-
-
 def _chunks(plan: _Plan, rotations):
     """Evaluate the plan in blocks of up to CHUNK_POINTS grid points, in row-major order.
 
@@ -236,11 +227,11 @@ def _chunks(plan: _Plan, rotations):
     index on every free axis, and ``values`` maps each measure to its n
     values as a float64 array.
     Every measure is a kernel over the whole block. At alpha 0 the block is
-    the pure transform: fidelities and the average capacity read its (n, 8)
-    amplitudes, and every other measure reads their projectors (built only if
-    some measure reads them). At any other alpha every measure reads the
-    block's traced-channel output. The requested pair concurrences share one
-    call over their stacked (k, n, 4, 4) reductions.
+    the pure transform, and every measure reads its (n, 8) amplitudes, whose
+    reductions ``pure_reductions`` forms with no (n, 8, 8) stack. At any other
+    alpha every measure reads the block's traced-channel output and its
+    partial traces. The requested pair concurrences share one call over their
+    stacked (k, n, 4, 4) reductions.
     Every transformed row is checked to unit norm, which certifies every
     density formed from it (see :func:`~wignerqi.states.projectors`), so no
     stack is eigensolved to validate it.
@@ -248,27 +239,28 @@ def _chunks(plan: _Plan, rotations):
     psi0 = make_state(plan.state)
     targets = {m: make_state(_FIDELITY_TARGETS[m]).amplitudes for m in plan.measures if m in _FIDELITY_TARGETS}
     pairs = [m for m in plan.measures if m in _PAIRS]
-    needs_projectors = any(m not in targets and m != "avg_capacity" for m in plan.measures)
     shape = tuple(map(len, plan.grids))
     total = math.prod(shape)
     for start in range(0, total, CHUNK_POINTS):
         indices = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, total)), shape)
         point_rotations = [rotations[s][indices[s]] for s in plan.sources]
         if plan.alpha == 0.0:
-            amps = product_transform_batch(psi0.amplitudes, *point_rotations)
-            check_unit_norms(amps)
-            values = {m: fidelity_pure_batch(amps, t) for m, t in targets.items()}
-            if "avg_capacity" in plan.measures:
-                values["avg_capacity"] = pure_capacity_batch(amps)[3]
-            rho = projectors(amps) if needs_projectors else None
+            state = product_transform_batch(psi0.amplitudes, *point_rotations)
+            check_unit_norms(state)
+            values = {m: fidelity_pure_batch(state, t) for m, t in targets.items()}
+            capacities, reduce = pure_capacity_batch, pure_reductions
         else:
-            rho = momentum_traced_channel_batch(psi0.amplitudes, point_rotations, plan.alpha)
-            values = {m: fidelity_vs_target_batch(rho, t) for m, t in targets.items()}
+            state = momentum_traced_channel_batch(psi0.amplitudes, point_rotations, plan.alpha)
+            values = {m: fidelity_vs_target_batch(state, t) for m, t in targets.items()}
+            capacities, reduce = average_capacity_batch, partial_trace
+        if "avg_capacity" in plan.measures:
+            values["avg_capacity"] = capacities(state)[3]
+        if "three_tangle" in plan.measures:  # planned at alpha 0 only
+            values["three_tangle"] = three_tangle_batch(state)[3]
         if pairs:
-            values.update(zip(pairs, concurrence_batch(np.stack([partial_trace(rho, _PAIRS[m]) for m in pairs]))))
-        for measure in plan.measures:
-            if measure not in values:
-                values[measure] = _column(measure, rho)
+            values.update(zip(pairs, concurrence_batch(np.stack([reduce(state, _PAIRS[m]) for m in pairs]))))
+        if "entropy_a" in plan.measures:
+            values["entropy_a"] = von_neumann_entropy_batch(reduce(state, (0,)))
         yield indices, values
 
 

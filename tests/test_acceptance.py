@@ -174,9 +174,8 @@ def test_local_unitary_invariance_suite(rng):
         psi = make_state(tag)
         boosted = product_transform_batch(psi.amplitudes, *rotations)
         check_unit_norms(boosted)
-        rho = projectors(boosted)
-        caps = average_capacity_batch(rho)[3]
-        tangles = three_tangle_batch(rho)[3]
+        caps = average_capacity_batch(projectors(boosted))[3]
+        tangles = three_tangle_batch(boosted)[3]
         worst_cap = max(worst_cap, float(np.abs(caps - average_capacity(to_density(psi)).average).max()))
         worst_tangle = max(worst_tangle, float(np.abs(tangles - three_tangle(psi).three_tangle).max()))
         # the scalar API is the one-point case of the same kernels, bit for bit
@@ -257,7 +256,7 @@ def test_oracle_equivalence(rng):
 def test_monogamy_bounds(haar_states):
     start = time.perf_counter()  # the session fixture has drawn the states already
     amplitudes = np.array([psi.amplitudes for psi in haar_states])
-    values = three_tangle_batch(projectors(amplitudes))[3]
+    values = three_tangle_batch(amplitudes)[3]
     low, high = float(values.min()), float(values.max())
     elapsed = time.perf_counter() - start
     ok = low >= -1e-9 and high <= 1.0 + 1e-9 and elapsed < 30.0

@@ -196,6 +196,14 @@ class TestEntropy:
         assert von_neumann_entropy(DensityOperator(stack[1, 7])) == entropies[1, 7]
         assert (entropies[3] == 1.0).all()
 
+    def test_pure_states_have_entropy_plus_zero(self):
+        # a bare negation of the zero sum -sum(p * log2(p)) would give -0.0
+        pure = [np.eye(1), np.diag([1.0, 0.0]), np.diag(np.eye(4)[2]), np.diag(np.eye(8)[5])]
+        entropies = [von_neumann_entropy(DensityOperator(m)) for m in pure]
+        entropies.append(von_neumann_entropy(reduced(to_density(PureState(np.eye(8)[3])), (0,))))
+        assert entropies == [0.0] * 5
+        assert [math.copysign(1.0, s) for s in entropies] == [1.0] * 5
+
 
 class TestCapacity:
     def test_product_pair(self):
@@ -383,8 +391,8 @@ class TestTangle:
 
     def test_matches_hyperdeterminant_oracle(self, haar_states):
         # Dual-route agreement on a large random sample, plus monogamy and
-        # component bounds, over one stack of projectors.
-        components = np.stack(three_tangle_batch(projectors(np.array([psi.amplitudes for psi in haar_states]))))
+        # component bounds, over one stack of amplitude rows.
+        components = np.stack(three_tangle_batch(np.array([psi.amplitudes for psi in haar_states])))
         one_sq, c12_sq, c13_sq, tau = components
         direct = np.array([oracle_three_tangle(psi) for psi in haar_states])
         assert np.abs(tau - direct).max() < 1e-8

@@ -1,12 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from wignerqi.qmath import NumericValidationError
+from wignerqi.lorentz import product_transform_batch, wigner_unitaries
+from wignerqi.qmath import NumericValidationError, partial_trace
 from wignerqi.states import (
     STATE_TAGS,
     DensityOperator,
     PureState,
     make_state,
+    projectors,
+    pure_reductions,
     reduced,
     to_density,
     validate_density,
@@ -199,3 +204,21 @@ def test_reduced_wraps_partial_trace():
 def test_reduced_rejects_keep_that_is_not_int_indices(keep):
     with pytest.raises(ValueError, match="keep"):
         reduced(to_density(make_state("w")), keep)
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+def test_pure_reductions_are_partial_traces_of_projectors_bit_for_bit(rng, qubits):
+    # complex Haar rows on two leading axes; for three qubits also the transformed
+    # named states, complex rows with real values, the sweep's input
+    haar = rng.standard_normal((2, 8, 2**qubits, 2)).view(complex)[..., 0]
+    stacks = [haar / np.linalg.norm(haar, axis=-1, keepdims=True)]
+    if qubits == 3:
+        rotations = [wigner_unitaries(rng.uniform(-4 * np.pi, 4 * np.pi, 64)) for _ in range(3)]
+        stacks.append(np.stack([product_transform_batch(make_state(tag).amplitudes, *rotations) for tag in STATE_TAGS]))
+    for k in range(1, qubits + 1):
+        for keep in itertools.combinations(range(qubits), k):
+            for rows in stacks:
+                for stack in (rows, rows[0, :1], rows[0, 0]):  # leading axes, N = 1, one vector
+                    # the bit patterns tell -0.0 from 0.0 and a real result from a complex one
+                    got = np.ascontiguousarray(pure_reductions(stack, keep)).view(np.uint64)
+                    assert np.array_equal(got, partial_trace(projectors(stack), keep).view(np.uint64)), keep

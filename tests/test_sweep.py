@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerqi import lorentz, measures, sweep
+from wignerqi import lorentz, measures, states, sweep
 from wignerqi.lorentz import MomentumConfig, momentum_traced_channel, product_transform
 from wignerqi.measures import (
     average_capacity,
@@ -23,7 +23,7 @@ from wignerqi.measures import (
     von_neumann_entropy,
 )
 from wignerqi.qmath import NumericValidationError
-from wignerqi.states import STATE_TAGS, PureState, make_state, projectors, reduced, to_density, validate_density
+from wignerqi.states import STATE_TAGS, PureState, make_state, reduced, to_density, validate_density
 from wignerqi.sweep import (
     CSV_HEADER,
     MAX_SWEEP_ROWS,
@@ -325,19 +325,32 @@ class TestRunSweep:
         assert records[-2].value == fidelity_pure(psi, make_state("ghz_minus"))
 
     def test_density_operator_only_for_measures_that_read_one(self, monkeypatch):
-        # At alpha 0 a chunk's projector stack is built only for measures that
-        # read it, and then once for all of them.
-        stacks = []
+        # At alpha 0 every measure reads the amplitude rows: no projector stack
+        # is built and nothing is partial-traced. Reductions of the rows are
+        # formed only for measures that read one.
+        def refuse(*args):
+            raise AssertionError("the pure sweep formed a projector stack or a partial trace")
 
-        def counting(amplitudes):
-            stacks.append(len(amplitudes))
-            return projectors(amplitudes)
+        reductions = []
 
-        monkeypatch.setattr(sweep, "projectors", counting)
+        def recording(kernel):
+            def run(rows, keep):
+                reductions.append(keep)
+                return kernel(rows, keep)
+
+            return run
+
+        for module, name in ((states, "projectors"), (lorentz, "projectors")):
+            monkeypatch.setattr(module, name, refuse)
+        for module in (sweep, measures):
+            monkeypatch.setattr(module, "partial_trace", refuse)
+            monkeypatch.setattr(module, "pure_reductions", recording(module.pure_reductions))
         records = run_sweep("w", ["fidelity_w", "fidelity_wprime"], omega1=SweepGrid(0.0, TWO_PI, 9))
-        assert len(records) == 18 and stacks == []
-        run_sweep("w", ["fidelity_w", "three_tangle", "entropy_a"], omega1=SweepGrid(0.0, TWO_PI, 9))
-        assert stacks == [9]
+        assert len(records) == 18 and reductions == []
+        records = run_sweep("w", sweep.MEASURE_IDS, omega1=SweepGrid(0.0, TWO_PI, 9))
+        assert len(records) == 9 * len(sweep.MEASURE_IDS)
+        capacity, tangle, pairs = [(0,), (1,), (2,)], [(0,), (0, 1), (0, 2)], [(0, 1), (0, 2), (1, 2)]
+        assert reductions == capacity + tangle + pairs + [(0,)]  # the last is entropy_a
 
     def test_batched_norm_check(self, monkeypatch):
         transform = sweep.product_transform_batch
@@ -423,13 +436,14 @@ class TestStackedEqualsPerPoint:
                 assert r.value == per_point_value(r.measure, psi, rho), r
 
 
-#: Every kernel through which the chunk core forms a density stack: the pure
-#: projectors, the traced mix and its two branch projectors, and the
-#: reductions (pairs, their first-qubit marginals, the one-qubit reduction).
+#: Every kernel through which the chunk core forms a density stack: the
+#: traced mix and its two branch projectors, the reductions of amplitude rows
+#: (pairs, one-qubit marginals) and the partial traces of the traced mix.
 DENSITY_KERNELS = (
-    (sweep, "projectors"),
     (lorentz, "projectors"),
     (sweep, "momentum_traced_channel_batch"),
+    (sweep, "pure_reductions"),
+    (measures, "pure_reductions"),
     (sweep, "partial_trace"),
     (measures, "partial_trace"),
 )
@@ -465,13 +479,12 @@ class TestDensityCertificate:
         # presets 3a-4b: 257 points for each of four omega3 values, pure and traced
         points = 4 * 257
         assert counts == {
-            # pure tangles; the pure capacities read the amplitudes and form no density stack
-            "wignerqi.sweep.projectors": 2 * points,
             "wignerqi.lorentz.projectors": 2 * 4 * points,  # both branches of every traced point
             "wignerqi.sweep.momentum_traced_channel_batch": 4 * points,
             "wignerqi.sweep.partial_trace": 2 * 3 * points,  # traced pair concurrences of 4a, 4b
-            # traced capacities: three pairs and their marginals; pure tangles: one-qubit and two pairs
-            "wignerqi.measures.partial_trace": 2 * 6 * points + 2 * 3 * points,
+            "wignerqi.measures.partial_trace": 2 * 6 * points,  # traced capacities: three pairs and their marginals
+            # pure capacities: three one-qubit marginals; pure tangles: one one-qubit marginal and two pairs
+            "wignerqi.measures.pure_reductions": 2 * 3 * points + 2 * 3 * points,
         }
 
     @settings(max_examples=100, deadline=None)
@@ -488,8 +501,14 @@ class TestDensityCertificate:
         with pytest.MonkeyPatch.context() as patch:
             counts = check_formed_densities(patch)
             run_sweep(state, measures, alpha=alpha, **axes)
-        assert counts["wignerqi.measures.partial_trace"] > 0 and counts["wignerqi.sweep.partial_trace"] == 4
-        assert counts["wignerqi.sweep.momentum_traced_channel_batch"] == traced
+        # one point's reductions: the sweep's three pairs and entropy_a, and six
+        # in measures (the capacity's three pairs and marginals, or at alpha 0
+        # its three marginals and the tangle's marginal and two pairs)
+        kernel = "partial_trace" if traced else "pure_reductions"
+        expected = {f"sweep.{kernel}": 4, f"measures.{kernel}": 6}
+        if traced:  # the mix and its two branch projectors
+            expected.update({"sweep.momentum_traced_channel_batch": 1, "lorentz.projectors": 2})
+        assert counts == {f"wignerqi.{key}": count for key, count in expected.items()}
 
     @settings(max_examples=100, deadline=None)
     @given(
