@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import DensityOperator, PureState, _certified_density, check_unit_norms, projectors
+from .qmath import pure_reductions
+from .states import DensityOperator, PureState, _certified_density, check_unit_norms
 
 class WignerAngles(NamedTuple):
     """Per-qubit Wigner rotation angles, in radians."""
@@ -102,13 +103,14 @@ def momentum_traced_channel_batch(amplitudes, rotations, alpha: float) -> np.nda
     reversed branch is rotated by their transposes: D(-omega) = D(omega)^T
     holds bit for bit, since negation is exact and the math library's cos is
     even and its sin odd. Both branches take one transform call, as (2n, 8)
-    rows (forward, then reversed) whose checked unit norms certify the mix
-    (see :func:`~wignerqi.states.projectors`); no eigensolve validates it.
+    rows (forward, then reversed); their checked unit norms certify the mix of
+    their projectors (:func:`~wignerqi.qmath.pure_reductions` keeping every
+    qubit), so no eigensolve validates it.
     """
     n = len(rotations[0])
     branches = product_transform_batch(amplitudes, *(np.concatenate([d, d.mT]) for d in rotations))
     check_unit_norms(branches)
-    p = projectors(branches)
+    p = pure_reductions(branches, range(3))
     return math.cos(alpha) ** 2 * p[:n] + math.sin(alpha) ** 2 * p[n:]
 
 

@@ -13,7 +13,7 @@ the same name calls it on its single matrix, a stack with no leading axis.
 The average capacity has one formula and two kernels: :func:`average_capacity_batch`
 over density stacks and :func:`pure_capacity_batch` over pure amplitude rows (by
 Schmidt symmetry). Kernels over amplitude rows take their reductions from
-:func:`~wignerqi.states.pure_reductions`, not from a projector stack. Qubit
+:func:`~wignerqi.qmath.pure_reductions`, not from a projector stack. Qubit
 spectra are taken in closed form, with no eigensolve.
 """
 
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import NumericValidationError, matrix_sqrt_psd, partial_trace
-from .states import DensityOperator, PureState, pure_reductions
+from .qmath import NumericValidationError, matrix_sqrt_psd, partial_trace, pure_reductions
+from .states import DensityOperator, PureState
 
 # sigma_y x sigma_y is anti-diagonal: rho_tilde is rho* reversed on both axes, signed by this table
 _FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
@@ -176,7 +176,7 @@ def pure_capacity_batch(amplitudes):
     projectors, up to roundoff, with no eigensolve: for a pure three-qubit
     state S(rho_ij) = S(rho_k) (Schmidt symmetry), so pair (i, j) has capacity
     1 + S(rho_i) - S(rho_k). The one-qubit marginals rho_q come from
-    :func:`~wignerqi.states.pure_reductions`, so no BLAS call sets their roundoff.
+    :func:`~wignerqi.qmath.pure_reductions`, so no BLAS call sets their roundoff.
     """
     entropies = von_neumann_entropy_batch(np.stack([pure_reductions(amplitudes, (q,)) for q in range(3)]))
     # pairs ab, ac, bc: senders 0, 0, 1; S(rho_ab) = S(rho_2), S(rho_ac) = S(rho_1), S(rho_bc) = S(rho_0)

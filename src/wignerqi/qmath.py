@@ -4,13 +4,15 @@ All routines work on plain numpy arrays holding computational-basis data.
 Qubit 0 is the leftmost tensor factor, so basis index ``i`` spells the bit
 string of ``i`` most-significant bit first. Intended for dimensions up to
 2**12; everything is dense and eager. Every routine also accepts a stack
-of matrices along leading axes and treats each matrix on its own; a single
-matrix is the stack with no leading axis. The routines check at most shapes
-and indices: :mod:`wignerqi.states` holds every density tolerance and
-acceptance check.
+of matrices (or of amplitude rows) along leading axes and treats each on
+its own; a single matrix is the stack with no leading axis. The routines
+check at most shapes and indices: :mod:`wignerqi.states` holds every
+density tolerance and acceptance check.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -19,47 +21,74 @@ class NumericValidationError(ValueError):
     """A matrix or state violates a numeric invariant beyond tolerance."""
 
 
-def partial_trace(rho, keep) -> np.ndarray:
-    """Trace out every qubit not listed in ``keep``.
+def _kept_first(dim: int, keep, shape, blocks: bool) -> np.ndarray:
+    """Checked, cached basis indices with the kept qubits first: row r lists those whose kept qubits spell r.
 
-    Parameters
-    ----------
-    rho : array_like
-        Square matrix of dimension ``2**n`` with ``n >= 1`` qubits, or a
-        stack of them along leading axes; ``n`` is read off the last axis.
-    keep : sequence of int
-        Strictly increasing, nonempty qubit indices to retain.
-
-    Returns
-    -------
-    numpy.ndarray
-        Reduced matrix on the kept qubits, with the same leading axes; the
-        trace is preserved.
+    With ``blocks`` they index the flattened matrices at the diagonal blocks
+    ``m[..., table[:, None, :], table[None, :, :]]`` instead.
     """
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[-1] if rho.ndim >= 2 else 0
-    if dim < 2 or rho.shape[-2] != dim or dim & (dim - 1):
-        raise ValueError(f"expected square 2**n x 2**n matrices with n >= 1, got shape {rho.shape}")
-    qubit_count = dim.bit_length() - 1
-    given = keep
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(f"expected rows of 2**n entries or square 2**n x 2**n matrices with n >= 1, got shape {shape}")
     try:
-        keep = tuple(keep)
+        qubits = tuple(keep)
     except TypeError:
-        keep = ()
-    if not keep or not all(isinstance(q, (int, np.integer)) and type(q) is not bool for q in keep):
-        raise ValueError(f"keep must be a nonempty sequence of int qubit indices, got {given!r}")
+        qubits = ()
+    if not qubits or not all(isinstance(q, (int, np.integer)) and type(q) is not bool for q in qubits):
+        raise ValueError(f"keep must be a nonempty sequence of int qubit indices, got {keep!r}")
+    # keyed on Python ints once bools are refused, so (True,) cannot reuse the table of (1,)
+    return _index_table(dim.bit_length() - 1, tuple(map(int, qubits)), blocks)
+
+
+@functools.lru_cache(maxsize=64)
+def _index_table(qubit_count: int, keep: tuple, blocks: bool) -> np.ndarray:
     if keep[0] < 0 or keep[-1] >= qubit_count or any(b <= a for a, b in zip(keep, keep[1:])):
         raise ValueError(f"keep must be strictly increasing qubit indices below {qubit_count}, got {keep}")
+    traced = [q for q in range(qubit_count) if q not in keep]
+    table = np.arange(2**qubit_count).reshape((2,) * qubit_count).transpose(*keep, *traced).reshape(2 ** len(keep), -1)
+    if blocks:
+        table = table[:, None, :] * 2**qubit_count + table[None, :, :]
+    table.setflags(write=False)
+    return table
 
-    lead = rho.shape[:-2]
-    # From the highest qubit down, add two strided views per traced qubit in np.trace's
-    # order; np.trace adds onto 0.0, and the last + 0.0 gives its +0.0 for a -0.0 total.
-    for q in [q for q in range(qubit_count - 1, -1, -1) if q not in keep]:
-        below = dim // 2 ** (q + 1)
-        w = rho.reshape(lead + (2**q, 2, below, 2**q, 2, below))
-        rho = w[..., 0, :, :, 0, :] + w[..., 1, :, :, 1, :]
-        dim //= 2
-    return rho if len(keep) == qubit_count else (rho + 0.0).reshape(lead + (dim, dim))
+
+def _trace_last(m) -> np.ndarray:
+    """Sum the last axis in pairs, highest traced qubit first, bit for bit as ``np.trace`` adds over each qubit."""
+    traced = m.shape[-1] > 1
+    while m.shape[-1] > 1:
+        m = m[..., 0::2] + m[..., 1::2]
+    # np.trace adds onto 0.0: + 0.0 turns a traced -0.0 total into +0.0; an untraced matrix keeps its zeros' signs
+    return m[..., 0] + 0.0 if traced else m[..., 0]
+
+
+def partial_trace(rho, keep) -> np.ndarray:
+    """Trace out every qubit not listed in ``keep``, bit for bit as ``np.trace`` sums.
+
+    ``rho`` is a square matrix of dimension ``2**n`` (``n >= 1``, read off the
+    last axis) or a stack of them along leading axes; ``keep`` holds strictly
+    increasing, nonempty qubit indices. Returns the reduced matrices on the
+    kept qubits, with the same leading axes; keeping every qubit gives a copy.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    dim = rho.shape[-1] if rho.ndim >= 2 and rho.shape[-2] == rho.shape[-1] else 0
+    blocks = _kept_first(dim, keep, rho.shape, True)
+    # take, unlike indexing with leading axes, gathers C-contiguous
+    return _trace_last(rho.reshape(rho.shape[:-2] + (dim * dim,)).take(blocks, axis=-1))
+
+
+def pure_reductions(amplitudes, keep) -> np.ndarray:
+    """Bit for bit :func:`partial_trace` of the projectors |a><a| of amplitude rows (the last axis).
+
+    ``keep`` is checked as there. Each row is gathered with the kept qubits
+    first and the products of its pieces are summed, so no (..., d, d) stack
+    is formed unless ``keep`` names every qubit: that gives the projectors.
+    Not validated: projectors of unit-norm rows, their convex mixes and their
+    partial traces are Hermitian and of unit trace up to rounding, with no
+    eigenvalue below about -eps, so checked norms certify them.
+    :class:`~wignerqi.states.DensityOperator` applies the full check.
+    """
+    a = np.asarray(amplitudes)
+    y = a.take(_kept_first(a.shape[-1] if a.ndim else 0, keep, a.shape, False), axis=-1)
+    return _trace_last(y[..., :, None, :] * y.conj()[..., None, :, :])
 
 
 def matrix_sqrt_psd(matrix) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 The four named three-qubit states swept by this library are built by
 :func:`make_state`; everything else is generic plumbing around validated
-amplitude vectors and density matrices. :func:`pure_reductions` forms the
-reduced states of amplitude vectors without their projectors.
+amplitude vectors and density matrices. Projectors and reduced states of
+amplitude vectors come from :func:`~wignerqi.qmath.pure_reductions`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import NumericValidationError, partial_trace
+from .qmath import NumericValidationError, partial_trace, pure_reductions
 
 NORM_ATOL = 1e-12
 TRACE_ATOL = 1e-10
@@ -28,9 +28,9 @@ EIGENVALUE_FLOOR = -1e-10
 STATE_TAGS = ("ghz_plus", "ghz_minus", "w", "w_prime")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Unit-norm complex amplitude vector over ``2**qubit_count`` basis kets."""
+    """Unit-norm complex amplitude vector over ``2**qubit_count`` basis kets; equality is identity."""
 
     amplitudes: np.ndarray
 
@@ -64,14 +64,15 @@ def check_unit_norms(amplitudes) -> None:
         raise NumericValidationError(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL:.0e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, trace-one, positive-semidefinite matrix on ``qubit_count`` qubits.
 
     A caller-built operator gets the full :func:`validate_density` check.
     :func:`to_density` and :func:`~wignerqi.lorentz.momentum_traced_channel`
     return operators that checked norms certify instead (see
-    :func:`projectors`); :func:`reduced` checks its result again.
+    :func:`~wignerqi.qmath.pure_reductions`); :func:`reduced` checks its
+    result again. Equality is identity, and the hash is the default one.
     """
 
     matrix: np.ndarray
@@ -152,40 +153,8 @@ def _named_state(tag: str) -> PureState:
     return PureState(amps)
 
 
-def projectors(amplitudes) -> np.ndarray:
-    """Rank-one projectors |a><a| of amplitude vectors (the last axis).
-
-    A stack of n vectors gives an (n, d, d) stack. Not validated: the
-    projectors of unit-norm rows, their convex mixes and their partial traces
-    are Hermitian and of unit trace up to rounding, with no eigenvalue below
-    about -eps, so checked norms certify them. :class:`DensityOperator`
-    applies the full check.
-    """
-    a = np.asarray(amplitudes)
-    return a[..., :, None] * a.conj()[..., None, :]
-
-
-def pure_reductions(amplitudes, keep) -> np.ndarray:
-    """Bit for bit ``partial_trace(projectors(amplitudes), keep)`` for strictly increasing ``keep``.
-
-    Forms no (..., d, d) stack: each row is gathered with the kept qubits
-    first, and the products of its pieces are summed in pairs, highest traced
-    qubit first, as :func:`~wignerqi.qmath.partial_trace` adds.
-    """
-    a = np.asarray(amplitudes)
-    qubit_count = a.shape[-1].bit_length() - 1
-    traced = [q for q in range(qubit_count) if q not in keep]
-    index = np.arange(a.shape[-1]).reshape((2,) * qubit_count).transpose(*keep, *traced).reshape(2 ** len(keep), -1)
-    y = a[..., index]
-    m = y[..., :, None, :] * y.conj()[..., None, :, :]
-    while m.shape[-1] > 1:
-        m = m[..., 0::2] + m[..., 1::2]
-    # as partial_trace: + 0.0 turns a traced total's -0.0 into +0.0; an untraced matrix keeps its zeros' signs
-    return m[..., 0] + 0.0 if traced else m[..., 0]
-
-
 def _certified_density(matrix) -> DensityOperator:
-    """Make a fresh matrix that checked norms certify (see :func:`projectors`) read-only and wrap it, unchecked."""
+    """Make a fresh matrix that checked norms certify (see ``pure_reductions``) read-only and wrap it, unchecked."""
     matrix.setflags(write=False)
     rho = object.__new__(DensityOperator)
     object.__setattr__(rho, "matrix", matrix)
@@ -195,10 +164,10 @@ def _certified_density(matrix) -> DensityOperator:
 def to_density(psi: PureState) -> DensityOperator:
     """Rank-one projector |psi><psi| of a pure state.
 
-    Certified by the checked norm of ``psi`` (see :func:`projectors`), so
-    no eigensolve checks it.
+    Certified by the checked norm of ``psi`` (see
+    :func:`~wignerqi.qmath.pure_reductions`), so no eigensolve checks it.
     """
-    return _certified_density(projectors(psi.amplitudes))
+    return _certified_density(pure_reductions(psi.amplitudes, range(psi.qubit_count)))
 
 
 def reduced(rho: DensityOperator, keep) -> DensityOperator:

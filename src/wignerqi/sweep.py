@@ -35,8 +35,8 @@ from .measures import (
     three_tangle_batch,
     von_neumann_entropy_batch,
 )
-from .qmath import partial_trace
-from .states import STATE_TAGS, check_unit_norms, make_state, pure_reductions
+from .qmath import partial_trace, pure_reductions
+from .states import STATE_TAGS, check_unit_norms, make_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -230,15 +230,14 @@ def _chunks(plan: _Plan, rotations):
     the pure transform, and every measure reads its (n, 8) amplitudes, whose
     reductions ``pure_reductions`` forms with no (n, 8, 8) stack. At any other
     alpha every measure reads the block's traced-channel output and its
-    partial traces. The requested pair concurrences share one call over their
-    stacked (k, n, 4, 4) reductions.
+    partial traces. Each requested pair concurrence is one call over its
+    (n, 4, 4) reductions.
     Every transformed row is checked to unit norm, which certifies every
-    density formed from it (see :func:`~wignerqi.states.projectors`), so no
-    stack is eigensolved to validate it.
+    density formed from it (see :func:`~wignerqi.qmath.pure_reductions`), so
+    no stack is eigensolved to validate it.
     """
     psi0 = make_state(plan.state)
     targets = {m: make_state(_FIDELITY_TARGETS[m]).amplitudes for m in plan.measures if m in _FIDELITY_TARGETS}
-    pairs = [m for m in plan.measures if m in _PAIRS]
     shape = tuple(map(len, plan.grids))
     total = math.prod(shape)
     for start in range(0, total, CHUNK_POINTS):
@@ -257,8 +256,7 @@ def _chunks(plan: _Plan, rotations):
             values["avg_capacity"] = capacities(state)[3]
         if "three_tangle" in plan.measures:  # planned at alpha 0 only
             values["three_tangle"] = three_tangle_batch(state)[3]
-        if pairs:
-            values.update(zip(pairs, concurrence_batch(np.stack([reduce(state, _PAIRS[m]) for m in pairs]))))
+        values.update({m: concurrence_batch(reduce(state, _PAIRS[m])) for m in plan.measures if m in _PAIRS})
         if "entropy_a" in plan.measures:
             values["entropy_a"] = von_neumann_entropy_batch(reduce(state, (0,)))
         yield indices, values

@@ -34,7 +34,8 @@ from wignerqi.oracle import (
     oracle_three_tangle,
     oracle_transform,
 )
-from wignerqi.states import PureState, check_unit_norms, make_state, projectors, reduced, to_density
+from wignerqi.qmath import pure_reductions
+from wignerqi.states import PureState, check_unit_norms, make_state, reduced, to_density
 
 TWO_PI = 2 * math.pi
 GRID = np.linspace(0.0, TWO_PI, 257)
@@ -174,7 +175,7 @@ def test_local_unitary_invariance_suite(rng):
         psi = make_state(tag)
         boosted = product_transform_batch(psi.amplitudes, *rotations)
         check_unit_norms(boosted)
-        caps = average_capacity_batch(projectors(boosted))[3]
+        caps = average_capacity_batch(pure_reductions(boosted, (0, 1, 2)))[3]
         tangles = three_tangle_batch(boosted)[3]
         worst_cap = max(worst_cap, float(np.abs(caps - average_capacity(to_density(psi)).average).max()))
         worst_tangle = max(worst_tangle, float(np.abs(tangles - three_tangle(psi).three_tangle).max()))

@@ -22,8 +22,8 @@ from wignerqi.lorentz import (
     wigner_unitaries,
 )
 from wignerqi.measures import concurrence
-from wignerqi.qmath import partial_trace
-from wignerqi.states import STATE_TAGS, PureState, make_state, projectors, reduced, to_density, validate_density
+from wignerqi.qmath import partial_trace, pure_reductions
+from wignerqi.states import STATE_TAGS, PureState, make_state, reduced, to_density, validate_density
 from wignerqi.sweep import AXES, CHUNK_POINTS, MEASURE_IDS, run_sweep
 
 SQ2 = 1 / np.sqrt(2)
@@ -244,7 +244,7 @@ class TestMomentumTracedChannel:
         rotations = [wigner_unitaries(rng.uniform(-4 * np.pi, 4 * np.pi, n)) for _ in range(3)]
         for state in STATE_TAGS:
             amplitudes = make_state(state).amplitudes
-            pure = projectors(product_transform_batch(amplitudes, *rotations)) + 0.0
+            pure = pure_reductions(product_transform_batch(amplitudes, *rotations), (0, 1, 2)) + 0.0
             for alpha in (0.0, -0.0):
                 traced = momentum_traced_channel_batch(amplitudes, rotations, alpha) + 0.0
                 assert np.array_equal(traced.view(np.uint64), pure.view(np.uint64)), (state, alpha)

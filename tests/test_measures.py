@@ -33,8 +33,8 @@ from wignerqi.oracle import (
     oracle_partial_trace,
     oracle_three_tangle,
 )
-from wignerqi.qmath import NumericValidationError, matrix_sqrt_psd
-from wignerqi.states import STATE_TAGS, DensityOperator, PureState, make_state, projectors, reduced, to_density
+from wignerqi.qmath import NumericValidationError, matrix_sqrt_psd, pure_reductions
+from wignerqi.states import STATE_TAGS, DensityOperator, PureState, make_state, reduced, to_density
 
 SQ2 = 1 / np.sqrt(2)
 EPS = np.finfo(float).eps
@@ -52,7 +52,7 @@ def entropy_slack(spectrum_error):
 def qubit_density_stack(rng, count):
     """A (4, count, 2, 2) stack of qubit densities: rank one, general complex, diagonal, maximally mixed."""
     vectors = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
-    rank_one = projectors(vectors / np.linalg.norm(vectors, axis=-1, keepdims=True))
+    rank_one = pure_reductions(vectors / np.linalg.norm(vectors, axis=-1, keepdims=True), (0,))
     factors = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
     general = factors @ factors.conj().mT
     general /= np.trace(general, axis1=-2, axis2=-1).real[:, None, None]
@@ -288,7 +288,7 @@ class TestCapacity:
         # one-qubit marginals where the general route eigensolves three pairs.
         amplitudes = np.array([psi.amplitudes for psi in haar_states])
         pure = np.stack(pure_capacity_batch(amplitudes))
-        general = np.stack(average_capacity_batch(projectors(amplitudes)))
+        general = np.stack(average_capacity_batch(pure_reductions(amplitudes, (0, 1, 2))))
         # Every spectrum is within 16 eps of the exact one (LAPACK on a 4x4
         # of norm <= 1, plus the roundoff of forming the matrix). The general
         # route sums 2 + 4 eigenvalue terms per capacity, the pure route 2 + 2.

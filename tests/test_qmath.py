@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from wignerqi.qmath import matrix_sqrt_psd, partial_trace
+from wignerqi.qmath import matrix_sqrt_psd, partial_trace, pure_reductions
 
 
 def random_hermitian(rng, dim):
@@ -89,22 +89,36 @@ class TestPartialTrace:
 
     def test_accepts_numpy_integer_indices(self, rng):
         rho = random_hermitian(rng, 8)
-        expected = partial_trace(rho, (0, 2))
+        row = rng.standard_normal(8)
+        expected = partial_trace(rho, (0, 2)), pure_reductions(row, (0, 2))
         for keep in ([0, 2], (np.int64(0), np.int32(2)), np.array([0, 2]), range(0, 3, 2)):
-            np.testing.assert_array_equal(partial_trace(rho, keep), expected)
+            np.testing.assert_array_equal(partial_trace(rho, keep), expected[0])
+            np.testing.assert_array_equal(pure_reductions(row, keep), expected[1])
+
+    def test_keeping_every_qubit_copies(self, rng):
+        rho = zero_salted(rng, (3, 8, 8))
+        kept = partial_trace(rho, range(3))
+        assert kept is not rho and kept.flags.c_contiguous
+        np.testing.assert_array_equal(kept.view(np.uint64), rho.view(np.uint64))
 
     @pytest.mark.parametrize(
         "keep", [(), (3,), (-1,), (1, 0), (0, 0), (0.5,), [1.9], "01", (True,), (np.True_,), 0, None, (0, "1")]
     )
     def test_rejects_bad_keep(self, keep):
-        rho = np.eye(8) / 8
-        with pytest.raises(ValueError):
-            partial_trace(rho, keep)
-        # the qubit count is read off the last axis, so an input that is not
-        # a square 2**n x 2**n matrix (n >= 1) is refused whatever keep names
-        for bad in (np.eye(6) / 6, np.ones((8, 4)), np.ones(8), np.ones((1, 1))):
+        # both entry points read one checked index table; the table cached for
+        # (1,) must not answer (True,)
+        for reduce, good in ((partial_trace, np.eye(8) / 8), (pure_reductions, np.full(8, 8**-0.5))):
+            reduce(good, (1,))
+            with pytest.raises(ValueError, match="keep"):
+                reduce(good, keep)
+        # the qubit count is read off the last axis, so an input that is not a
+        # square 2**n x 2**n matrix, or rows of 2**n amplitudes, with n >= 1 is
+        # refused whatever keep names
+        bad_matrices = (np.eye(6) / 6, np.ones((8, 4)), np.ones(8), np.ones((1, 1)))
+        bad_rows = (np.ones(6), np.ones((4, 3)), np.ones(1), np.ones((2, 0)), np.float64(1.0))
+        for reduce, bad in [(partial_trace, m) for m in bad_matrices] + [(pure_reductions, r) for r in bad_rows]:
             with pytest.raises(ValueError, match="2\\*\\*n"):
-                partial_trace(bad, keep)
+                reduce(bad, keep)
 
 
 class TestStacks:
@@ -113,6 +127,8 @@ class TestStacks:
     def test_stack_equals_per_matrix_calls(self, rng):
         stack = np.array([random_hermitian(rng, 8) for _ in range(6)])
         np.testing.assert_array_equal(partial_trace(stack, (0, 2)), [partial_trace(m, (0, 2)) for m in stack])
+        rows = stack[:, 0]
+        np.testing.assert_array_equal(pure_reductions(rows, (0, 2)), [pure_reductions(r, (0, 2)) for r in rows])
         psd = stack @ stack.conj().mT
         np.testing.assert_array_equal(matrix_sqrt_psd(psd), [matrix_sqrt_psd(m) for m in psd])
 

@@ -2,16 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from test_qmath import np_trace_reference
 
 from wignerqi.lorentz import product_transform_batch, wigner_unitaries
-from wignerqi.qmath import NumericValidationError, partial_trace
+from wignerqi.qmath import NumericValidationError, pure_reductions
 from wignerqi.states import (
     STATE_TAGS,
     DensityOperator,
     PureState,
     make_state,
-    projectors,
-    pure_reductions,
     reduced,
     to_density,
     validate_density,
@@ -60,6 +59,16 @@ def test_pure_state_validation():
     assert psi.qubit_count == 1
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 0.0  # stored array is read-only
+
+
+def test_containers_compare_by_identity_and_hash():
+    # an ndarray field allows no field-wise == or hash, so equality is identity
+    amplitudes = make_state("w").amplitudes
+    for make in (lambda: PureState(amplitudes), lambda: to_density(make_state("w"))):
+        first, twin = make(), make()
+        assert (first == first) is True and (first == twin) is False and (first != twin) is True
+        assert first in [twin, first] and first not in [twin]
+        assert isinstance(hash(first), int) and {first: 1}[first] == 1
 
 
 def test_to_density_single_qubit():
@@ -208,8 +217,9 @@ def test_reduced_rejects_keep_that_is_not_int_indices(keep):
 
 @pytest.mark.parametrize("qubits", [1, 2, 3])
 def test_pure_reductions_are_partial_traces_of_projectors_bit_for_bit(rng, qubits):
-    # complex Haar rows on two leading axes; for three qubits also the transformed
-    # named states, complex rows with real values, the sweep's input
+    # the reference traces each row's outer product with np.trace; the rows are complex
+    # Haar rows on two leading axes, and for three qubits also the transformed named
+    # states, complex rows with real values, the sweep's input
     haar = rng.standard_normal((2, 8, 2**qubits, 2)).view(complex)[..., 0]
     stacks = [haar / np.linalg.norm(haar, axis=-1, keepdims=True)]
     if qubits == 3:
@@ -220,5 +230,6 @@ def test_pure_reductions_are_partial_traces_of_projectors_bit_for_bit(rng, qubit
             for rows in stacks:
                 for stack in (rows, rows[0, :1], rows[0, 0]):  # leading axes, N = 1, one vector
                     # the bit patterns tell -0.0 from 0.0 and a real result from a complex one
-                    got = np.ascontiguousarray(pure_reductions(stack, keep)).view(np.uint64)
-                    assert np.array_equal(got, partial_trace(projectors(stack), keep).view(np.uint64)), keep
+                    got = pure_reductions(stack, keep).view(np.uint64)
+                    projector = stack[..., :, None] * stack.conj()[..., None, :]
+                    assert np.array_equal(got, np_trace_reference(projector, keep).view(np.uint64)), keep

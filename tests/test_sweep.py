@@ -340,8 +340,8 @@ class TestRunSweep:
 
             return run
 
-        for module, name in ((states, "projectors"), (lorentz, "projectors")):
-            monkeypatch.setattr(module, name, refuse)
+        for module in (states, lorentz):  # their reductions keep every qubit: projectors
+            monkeypatch.setattr(module, "pure_reductions", refuse)
         for module in (sweep, measures):
             monkeypatch.setattr(module, "partial_trace", refuse)
             monkeypatch.setattr(module, "pure_reductions", recording(module.pure_reductions))
@@ -437,10 +437,11 @@ class TestStackedEqualsPerPoint:
 
 
 #: Every kernel through which the chunk core forms a density stack: the
-#: traced mix and its two branch projectors, the reductions of amplitude rows
-#: (pairs, one-qubit marginals) and the partial traces of the traced mix.
+#: traced mix and its two branch projectors (reductions that keep every
+#: qubit), the reductions of amplitude rows (pairs, one-qubit marginals) and
+#: the partial traces of the traced mix.
 DENSITY_KERNELS = (
-    (lorentz, "projectors"),
+    (lorentz, "pure_reductions"),
     (sweep, "momentum_traced_channel_batch"),
     (sweep, "pure_reductions"),
     (measures, "pure_reductions"),
@@ -479,7 +480,7 @@ class TestDensityCertificate:
         # presets 3a-4b: 257 points for each of four omega3 values, pure and traced
         points = 4 * 257
         assert counts == {
-            "wignerqi.lorentz.projectors": 2 * 4 * points,  # both branches of every traced point
+            "wignerqi.lorentz.pure_reductions": 2 * 4 * points,  # both branches of every traced point
             "wignerqi.sweep.momentum_traced_channel_batch": 4 * points,
             "wignerqi.sweep.partial_trace": 2 * 3 * points,  # traced pair concurrences of 4a, 4b
             "wignerqi.measures.partial_trace": 2 * 6 * points,  # traced capacities: three pairs and their marginals
@@ -507,7 +508,7 @@ class TestDensityCertificate:
         kernel = "partial_trace" if traced else "pure_reductions"
         expected = {f"sweep.{kernel}": 4, f"measures.{kernel}": 6}
         if traced:  # the mix and its two branch projectors
-            expected.update({"sweep.momentum_traced_channel_batch": 1, "lorentz.projectors": 2})
+            expected.update({"sweep.momentum_traced_channel_batch": 1, "lorentz.pure_reductions": 2})
         assert counts == {f"wignerqi.{key}": count for key, count in expected.items()}
 
     @settings(max_examples=100, deadline=None)
