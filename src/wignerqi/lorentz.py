@@ -49,37 +49,89 @@ def _as_angles(angles) -> WignerAngles:
 
 
 def wigner_unitaries(omegas) -> np.ndarray:
-    """Single-qubit Wigner rotations [[c, -s], [s, c]] at half angles omega/2, shape (n, 2, 2)."""
-    omegas = [float(omega) for omega in omegas]
+    """Single-qubit Wigner rotations [[c, -s], [s, c]] at half angles omega/2, float64 of shape (n, 2, 2)."""
+    rows = []
     for omega in omegas:
+        omega = float(omega)
         if not math.isfinite(omega):
             raise ValueError(f"angle must be finite, got {omega!r}")
-    u = np.zeros((len(omegas), 2, 2), dtype=complex)
-    real = u.real
-    real[:, 0, 0] = real[:, 1, 1] = [math.cos(0.5 * omega) for omega in omegas]
-    real[:, 1, 0] = [math.sin(0.5 * omega) for omega in omegas]
-    np.negative(real[:, 1, 0], out=real[:, 0, 1])
-    return u
+        c, s = math.cos(0.5 * omega), math.sin(0.5 * omega)
+        rows.append((c, -s, s, c))
+    return np.array(rows).reshape(-1, 2, 2)
 
 
-def product_transform_batch(amplitudes, d1, d2, d3) -> np.ndarray:
-    """Amplitudes of (D1[i] x D2[i] x D3[i]) applied to one three-qubit state.
+def factor_table(stacks, first: int) -> np.ndarray:
+    """Rotations of a run of qubits spread over the 8x8 Kronecker layout, shape (m, 8, 8).
 
-    ``d1``..``d3`` are (n, 2, 2) stacks of per-qubit rotations (see
-    :func:`wigner_unitaries`) and ``amplitudes`` the 8 input amplitudes; the
-    result has shape (n, 8), unvalidated (callers check it, e.g. with
-    :func:`~wignerqi.states.check_unit_norms`). The 8x8 products are built over
-    the contiguous point axis and applied in one BLAS matrix-vector call, bit
-    for bit the per-point kron-and-matvec route.
+    ``stacks`` holds one (m, 2, 2) stack per qubit, for the qubits ``first``,
+    ``first + 1``, ... Entry (i, j) of row v is the product, left to right,
+    of ``stack[v][i_q, j_q]`` over the run, where i_q is qubit q's bit of i
+    (qubit 0 the most significant, as in ``np.kron``). So the one-qubit
+    tables of d0, d1 and d2 multiply, left to right, to
+    ``np.kron(np.kron(d0, d1), d2)`` bit for bit, and so does the table of
+    the run (d0, d1) times that of d2, as it holds the same first product;
+    a run (d1, d2) would not, since float products do not associate.
     """
-    n = len(d1)
-    t1, t2, t3 = (np.ascontiguousarray(d.transpose(1, 2, 0)) for d in (d1, d2, d3))
-    u12 = (t1[:, None, :, None] * t2[None, :, None, :]).reshape(4, 4, n)
-    # one allocation for both: with two, glibc trimmed the heap and re-faulted it every call
-    block = np.empty((2, 8 * n, 8), dtype=complex)
-    u = np.multiply(u12[:, None, :, None], t3[None, :, None, :], out=block[0].reshape(4, 2, 4, 2, n))
-    block[1].reshape(n, 8, 8)[...] = u.reshape(8, 8, n).transpose(2, 0, 1)
-    return (block[1] @ amplitudes).reshape(n, 8)
+    table, m = stacks[0], len(stacks[0])
+    for stack in stacks[1:]:
+        k = table.shape[1]
+        table = (table.reshape(m, k, 1, k, 1) * stack.reshape(m, 1, 2, 1, 2)).reshape(m, 2 * k, 2 * k)
+    k = table.shape[1]
+    if k == 8:
+        return table
+    before, after = 2**first, 8 // (2**first * k)
+    spread = table.reshape(m, 1, k, 1, 1, k, 1)
+    return np.broadcast_to(spread, (m, before, k, after, before, k, after)).reshape(m, 8, 8)
+
+
+def product_transform_batch(amplitudes, factors, points, *, reversed_branch=False) -> np.ndarray:
+    """Amplitudes of each point's rotation product applied to one three-qubit state, shape (n, 8).
+
+    ``factors`` are (m, 8, 8) tables of one dtype (see :func:`factor_table`)
+    and ``points`` an (n,) index array into each; a point's 8x8 product is the
+    left fold of its rows, ``(factors[0][i0] * factors[1][i1]) * ...``. The
+    indices are not checked: each must lie in its table. ``amplitudes`` are
+    the 8 input amplitudes, and the result is unvalidated (callers check it,
+    e.g. with :func:`~wignerqi.states.check_unit_norms`). With
+    ``reversed_branch`` the result is (2n, 8): the rows of the products, then
+    those of their transposes. All rows come from one BLAS matrix-vector call
+    over the point-major (8n, 8) stack, bit for bit the per-point
+    kron-and-matvec route.
+    """
+    n = len(points[0])
+    dtype = factors[0].dtype
+    # One (2, 8kn, 8) block holds every large buffer of the call: the products
+    # are gathered and multiplied in its first half and widened into the
+    # second. So a chunk makes one large allocation, of one size each time;
+    # large allocations of changing sizes move glibc's dynamic mmap threshold,
+    # after which freed pages can be faulted in again on every chunk.
+    block = np.empty((2, 8 * (2 if reversed_branch else 1) * n, 8), dtype=complex)
+    work = block[0].view(dtype).reshape(-1, 8, 8)
+    rows = block[1, : 8 * n].reshape(n, 8, 8)
+    gathered = work[:n]
+    product = rows if dtype == complex else work[n : 2 * n]
+    # mode "clip": "raise" would buffer (allocate) the out array. It moves no
+    # index the package passes: the sweep's come from np.unravel_index over
+    # its grid's shape, and point_factors' from np.arange.
+    factors[0].take(points[0], 0, product, "clip")
+    for table, index in zip(factors[1:], points[1:]):
+        table.take(index, 0, gathered, "clip")
+        product *= gathered
+    if product is not rows:
+        rows[...] = product
+    if reversed_branch:
+        block[1, 8 * n :].reshape(n, 8, 8)[...] = product.mT
+    return (block[1] @ amplitudes).reshape(-1, 8)
+
+
+def point_factors(d1, d2, d3):
+    """:func:`product_transform_batch` arguments that rotate point i by D1[i], D2[i] and D3[i].
+
+    ``d1``..``d3`` are (n, 2, 2) stacks of per-qubit rotations. Their one
+    table holds the points' products, ``np.kron(np.kron(D1[i], D2[i]),
+    D3[i])`` bit for bit, and is read at the indices 0..n-1.
+    """
+    return [factor_table((d1, d2, d3), 0)], [np.arange(len(d1))]
 
 
 def product_transform(psi: PureState, angles) -> PureState:
@@ -91,24 +143,24 @@ def product_transform(psi: PureState, angles) -> PureState:
     if psi.qubit_count != 3:
         raise ValueError(f"product_transform acts on 3 qubits, got {psi.qubit_count}")
     rotations = wigner_unitaries(_as_angles(angles))[:, None]
-    return PureState(product_transform_batch(psi.amplitudes, *rotations)[0])
+    return PureState(product_transform_batch(psi.amplitudes, *point_factors(*rotations))[0])
 
 
-def momentum_traced_channel_batch(amplitudes, rotations, alpha: float) -> np.ndarray:
+def momentum_traced_channel_batch(amplitudes, factors, points, alpha: float) -> np.ndarray:
     """Stack of :func:`momentum_traced_channel` outputs, shape (n, 8, 8).
 
     The branches weigh cos(alpha)**2 and sin(alpha)**2 for a finite ``alpha``,
-    as in :class:`MomentumConfig`. ``rotations`` are the forward branch's three
-    (n, 2, 2) per-qubit rotation stacks (see :func:`wigner_unitaries`). The
-    reversed branch is rotated by their transposes: D(-omega) = D(omega)^T
-    holds bit for bit, since negation is exact and the math library's cos is
-    even and its sin odd. Both branches take one transform call, as (2n, 8)
-    rows (forward, then reversed); their checked unit norms certify the mix of
+    as in :class:`MomentumConfig`. ``factors`` and ``points`` give the forward
+    branch's products as in :func:`product_transform_batch`. The reversed
+    branch is rotated by their transposes: D(-omega) = D(omega)^T holds bit
+    for bit, since negation is exact and the math library's cos is even and
+    its sin odd. Both branches take one transform call, as (2n, 8) rows
+    (forward, then reversed); their checked unit norms certify the mix of
     their projectors (:func:`~wignerqi.qmath.pure_reductions` keeping every
     qubit), so no eigensolve validates it.
     """
-    n = len(rotations[0])
-    branches = product_transform_batch(amplitudes, *(np.concatenate([d, d.mT]) for d in rotations))
+    n = len(points[0])
+    branches = product_transform_batch(amplitudes, factors, points, reversed_branch=True)
     check_unit_norms(branches)
     p = pure_reductions(branches, range(3))
     return math.cos(alpha) ** 2 * p[:n] + math.sin(alpha) ** 2 * p[n:]
@@ -127,5 +179,5 @@ def momentum_traced_channel(psi: PureState, angles, config: MomentumConfig) -> D
     """
     if psi.qubit_count != 3:
         raise ValueError(f"momentum_traced_channel acts on 3 qubits, got {psi.qubit_count}")
-    rotations = wigner_unitaries(_as_angles(angles))[:, None]
-    return _certified_density(momentum_traced_channel_batch(psi.amplitudes, rotations, config.alpha)[0])
+    factors, points = point_factors(*wigner_unitaries(_as_angles(angles))[:, None])
+    return _certified_density(momentum_traced_channel_batch(psi.amplitudes, factors, points, config.alpha)[0])

@@ -22,6 +22,7 @@ import numpy as np
 
 from .lorentz import (
     MomentumConfig,
+    factor_table,
     momentum_traced_channel_batch,
     product_transform_batch,
     wigner_unitaries,
@@ -218,11 +219,33 @@ def _plan(state, measures, *, alpha=0.0, omega1=None, omega2=None, omega3=None, 
     return _Plan(state, measures, alpha, grids, sources)
 
 
-def _chunks(plan: _Plan, rotations):
+def _factors(plan: _Plan, rotations, tables) -> list[tuple[np.ndarray, int]]:
+    """The plan's factor tables, each with the free axis whose grid indexes it.
+
+    ``rotations`` holds ``wigner_unitaries`` of each of ``plan.grids``. A
+    point's product is the left fold ((D1 D2) D3), and float products do not
+    associate, so only the leading run of qubits that read one axis shares a
+    table (omega1 and omega2 in every preset, all three in a slice); each
+    other qubit has its own. ``tables`` caches them by grid and qubits.
+    """
+    s = plan.sources
+    lead = next((q for q in (1, 2) if s[q] != s[0]), 3)
+    factors = []
+    for qubits in (tuple(range(lead)), *((q,) for q in range(lead, 3))):
+        source = s[qubits[0]]
+        key = (plan.grids[source].tobytes(), qubits)
+        if key not in tables:
+            tables[key] = factor_table([rotations[source]] * len(qubits), qubits[0])
+        factors.append((tables[key], source))
+    return factors
+
+
+def _chunks(plan: _Plan, factors):
     """Evaluate the plan in blocks of up to CHUNK_POINTS grid points, in row-major order.
 
     The grid is the product of ``plan.grids``, whose lengths give its shape,
-    and ``rotations`` holds ``wigner_unitaries`` of each of them. Yields
+    and ``factors`` pairs each of its factor tables with the free axis that
+    indexes it (see :func:`_factors`). Yields
     ``(indices, values)`` per block: ``indices`` holds each point's grid
     index on every free axis, and ``values`` maps each measure to its n
     values as a float64 array.
@@ -238,18 +261,19 @@ def _chunks(plan: _Plan, rotations):
     """
     psi0 = make_state(plan.state)
     targets = {m: make_state(_FIDELITY_TARGETS[m]).amplitudes for m in plan.measures if m in _FIDELITY_TARGETS}
+    tables, sources = zip(*factors)
     shape = tuple(map(len, plan.grids))
     total = math.prod(shape)
     for start in range(0, total, CHUNK_POINTS):
         indices = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, total)), shape)
-        point_rotations = [rotations[s][indices[s]] for s in plan.sources]
+        points = [indices[s] for s in sources]
         if plan.alpha == 0.0:
-            state = product_transform_batch(psi0.amplitudes, *point_rotations)
+            state = product_transform_batch(psi0.amplitudes, tables, points)
             check_unit_norms(state)
             values = {m: fidelity_pure_batch(state, t) for m, t in targets.items()}
             capacities, reduce = pure_capacity_batch, pure_reductions
         else:
-            state = momentum_traced_channel_batch(psi0.amplitudes, point_rotations, plan.alpha)
+            state = momentum_traced_channel_batch(psi0.amplitudes, tables, points, plan.alpha)
             values = {m: fidelity_vs_target_batch(state, t) for m, t in targets.items()}
             capacities, reduce = average_capacity_batch, partial_trace
         if "avg_capacity" in plan.measures:
@@ -282,7 +306,8 @@ def run_sweep(state: str, measures, **options) -> list[MeasureRecord]:
     """
     plan = _plan(state, measures, **options)
     records = []
-    for indices, values in _chunks(plan, [wigner_unitaries(grid) for grid in plan.grids]):
+    factors = _factors(plan, [wigner_unitaries(grid) for grid in plan.grids], {})
+    for indices, values in _chunks(plan, factors):
         angles = [plan.grids[s][indices[s]].tolist() for s in plan.sources]
         for o1, o2, o3, *row in zip(*angles, *(values[m].tolist() for m in plan.measures)):
             records.extend(
@@ -386,7 +411,9 @@ def _write_plans(sweeps, path_of) -> list[tuple[Path | str, int]]:
     together once every sweep has been computed; an error leaves none.
     """
     counts: dict[Path | str, int] = {}
-    per_grid: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}  # rotations and texts, shared by this call's plans
+    # shared by this call's plans: rotations and texts per grid, factor tables per grid and qubits
+    per_grid: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+    tables: dict[tuple[bytes, tuple[int, ...]], np.ndarray] = {}
     with _staged_csvs() as open_csv:
         for suffix, plan in sweeps:
             for grid in plan.grids:
@@ -403,7 +430,7 @@ def _write_plans(sweeps, path_of) -> list[tuple[Path | str, int]]:
             first = "%s,%.12g," % (plan.state, plan.alpha + 0.0) + texts[s1] + ","
             second = texts[s2] + ","
             third = {m: texts[s3] + f",{m}{suffix}," for m in plan.measures}
-            for indices, values in _chunks(plan, rotations):
+            for indices, values in _chunks(plan, _factors(plan, rotations, tables)):
                 points = (indices[s1], indices[s2], indices[s3])
                 for path, measures in files.items():
                     thirds, columns = [third[m] for m in measures], [values[m] for m in measures]

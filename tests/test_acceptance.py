@@ -15,6 +15,7 @@ from wignerqi.lorentz import (
     WignerAngles,
     momentum_traced_channel,
     product_transform,
+    point_factors,
     product_transform_batch,
     wigner_unitaries,
 )
@@ -173,7 +174,7 @@ def test_local_unitary_invariance_suite(rng):
     pinned = True
     for tag in tags:
         psi = make_state(tag)
-        boosted = product_transform_batch(psi.amplitudes, *rotations)
+        boosted = product_transform_batch(psi.amplitudes, *point_factors(*rotations))
         check_unit_norms(boosted)
         caps = average_capacity_batch(pure_reductions(boosted, (0, 1, 2)))[3]
         tangles = three_tangle_batch(boosted)[3]

@@ -272,10 +272,10 @@ def test_traced_factor_fault_exit_4(tmp_path, monkeypatch):
     transform = lorentz.product_transform_batch
     calls = []
 
-    def reversed_half_scaled_in_second_chunk(*args):
+    def reversed_half_scaled_in_second_chunk(*args, **kwargs):
         # one call per chunk: the forward rows, then the reversed ones
         calls.append(None)
-        rows = transform(*args)
+        rows = transform(*args, **kwargs)
         if len(calls) == 2:
             rows[len(rows) // 2 :] *= 1.0 + 1e-9
         return rows

@@ -12,11 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wignerqi
+from wignerqi import lorentz, sweep
 from wignerqi.lorentz import (
     MomentumConfig,
     WignerAngles,
+    factor_table,
     momentum_traced_channel,
     momentum_traced_channel_batch,
+    point_factors,
     product_transform,
     product_transform_batch,
     wigner_unitaries,
@@ -24,7 +27,7 @@ from wignerqi.lorentz import (
 from wignerqi.measures import concurrence
 from wignerqi.qmath import partial_trace, pure_reductions
 from wignerqi.states import STATE_TAGS, PureState, make_state, reduced, to_density, validate_density
-from wignerqi.sweep import AXES, CHUNK_POINTS, MEASURE_IDS, run_sweep
+from wignerqi.sweep import AXES, CHUNK_POINTS, MEASURE_IDS, SweepGrid, run_sweep
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -132,10 +135,13 @@ def transform_mismatches(seed):
 
     n = 1 and n = CHUNK_POINTS are each tried on three kinds of (n, 2, 2)
     stacks: rotations (with the angles 0, -0, pi and -2*pi among the larger
-    stack's, so exact and signed zeros occur), their ``.mT`` views as the
-    reversed traced branch passes them, and generic complex matrices.
-    Comparing ``.view(np.uint64)`` tells -0.0 from +0.0, which
-    ``np.array_equal`` does not.
+    stack's, so exact and signed zeros occur), their ``.mT`` views, and
+    generic complex matrices. Each is passed in three layouts of factor
+    tables: the points' products (``point_factors``), one table per qubit,
+    and the pair (d1, d2) beside d3, as a sweep's tied leading run. Each is
+    also run with its reversed branch, whose rows must be those of the
+    ``.mT`` stacks. Comparing ``.view(np.uint64)`` tells -0.0 from +0.0,
+    which ``np.array_equal`` does not.
     """
     rng = np.random.default_rng(seed)
     bad = []
@@ -146,13 +152,36 @@ def transform_mismatches(seed):
         rotations = [wigner_unitaries(o) for o in omegas]
         generic = [rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)) for _ in range(3)]
         for kind, stacks in (("rotations", rotations), ("transposed", [d.mT for d in rotations]), ("generic", generic)):
+            layouts = {
+                "products": point_factors(*stacks),
+                "per qubit": ([factor_table([d], q) for q, d in enumerate(stacks)], [np.arange(n)] * 3),
+                "pair": ([factor_table(stacks[:2], 0), factor_table(stacks[2:], 2)], [np.arange(n)] * 2),
+            }
             for tag in STATE_TAGS:
                 amplitudes = make_state(tag).amplitudes
-                got = product_transform_batch(amplitudes, *stacks)
-                expected = per_point(amplitudes, *stacks)
-                if got.shape != (n, 8) or not np.array_equal(got.view(np.uint64), expected.view(np.uint64)):
-                    bad.append(f"{kind} n={n} {tag}")
+                forward = per_point(amplitudes, *stacks)
+                both = np.concatenate([forward, per_point(amplitudes, *(d.mT for d in stacks))])
+                for layout, (factors, points) in layouts.items():
+                    for reversed_branch, expected in ((False, forward), (True, both)):
+                        got = product_transform_batch(amplitudes, factors, points, reversed_branch=reversed_branch)
+                        same = got.shape == expected.shape and np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+                        if not same:
+                            bad.append(f"{kind} n={n} {tag} {layout}" + " reversed" * reversed_branch)
     return bad
+
+
+def _grid(start, count):
+    return SweepGrid(start, start + 17.3, count)
+
+
+# sweep options whose omega1..omega3 read these free axes, 576 points apiece (two chunks)
+TIE_PATTERNS = {
+    (0, 1, 2): dict(omega1=_grid(-7.3, 9), omega2=_grid(-5.1, 8), omega3=_grid(-8.9, 8)),
+    (0, 0, 1): dict(omega1=_grid(-7.3, 24), omega3=_grid(-8.9, 24), ties=("omega2=omega1",)),
+    (0, 0, 0): dict(omega1=_grid(-7.3, 576), ties=("omega2=omega1", "omega3=omega1")),
+    (0, 1, 0): dict(omega1=_grid(-7.3, 24), omega2=_grid(-5.1, 24), ties=("omega3=omega1",)),
+    (0, 1, 1): dict(omega1=_grid(-7.3, 24), omega2=_grid(-5.1, 24), ties=("omega3=omega2",)),
+}
 
 
 class TestProductTransformBatch:
@@ -165,7 +194,7 @@ class TestProductTransformBatch:
             rotations = [wigner_unitaries(angles[:, k]) for k in range(3)]
             for tag in STATE_TAGS:
                 psi = make_state(tag)
-                batch = product_transform_batch(psi.amplitudes, *rotations)
+                batch = product_transform_batch(psi.amplitudes, *point_factors(*rotations))
                 assert batch.shape == (2000, 8)
                 expected = per_point(psi.amplitudes, *rotations)
                 assert np.array_equal(batch.view(np.uint64), expected.view(np.uint64))
@@ -202,10 +231,38 @@ class TestProductTransformBatch:
         psi = make_state("w")
         angles = (0.3, -1.2, 2.5)
         rotations = [wigner_unitaries([o]) for o in angles]
-        batch = product_transform_batch(psi.amplitudes, *rotations)
+        batch = product_transform_batch(psi.amplitudes, *point_factors(*rotations))
         assert batch.shape == (1, 8)
         assert np.array_equal(batch, per_point(psi.amplitudes, *rotations))
         assert np.array_equal(batch[0], product_transform(psi, angles).amplitudes)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("sources", sorted(TIE_PATTERNS), ids=lambda s: "".join(map(str, s)))
+    def test_sweep_rows_equal_per_point_under_every_tie_pattern(self, monkeypatch, sources, alpha):
+        # the sweep shares a factor table only over the leading run of qubits
+        # that read one axis; a table over a later run such as D2 D3 would
+        # change the bits of the fold (D1 D2) D3
+        options = TIE_PATTERNS[sources]
+        assert sweep._plan("w", ["fidelity_w"], **options).sources == sources
+        transform, calls = lorentz.product_transform_batch, []
+
+        def recording(*args, **kwargs):
+            calls.append(transform(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(lorentz, "product_transform_batch", recording)
+        monkeypatch.setattr(sweep, "product_transform_batch", recording)
+        records = run_sweep("w", ["fidelity_w"], alpha=alpha, **options)
+        assert len(records) > CHUNK_POINTS and len(calls) == 2  # one call per chunk
+        rotations = [wigner_unitaries([getattr(r, axis) for r in records]) for axis in AXES]
+        amplitudes = make_state("w").amplitudes
+        expected = [per_point(amplitudes, *rotations)]
+        got = [np.concatenate([rows[: len(rows) // (1 if alpha == 0.0 else 2)] for rows in calls])]
+        if alpha != 0.0:  # the reversed branch follows the forward rows in each call
+            expected.append(per_point(amplitudes, *(d.mT for d in rotations)))
+            got.append(np.concatenate([rows[len(rows) // 2 :] for rows in calls]))
+        for rows, reference in zip(got, expected):
+            assert np.array_equal(rows.view(np.uint64), reference.view(np.uint64))
 
     def test_negated_angles_transpose_bit_for_bit(self, rng):
         # the traced channel's reversed branch relies on D(-w) = D(w)^T exactly
@@ -217,8 +274,10 @@ class TestProductTransformBatch:
         # the preset bytes rest on these exact entries
         omegas = np.concatenate([rng.uniform(-1e15, 1e15, 4000), rng.uniform(-20.0, 20.0, 4257), [0.0, -0.0]])
         trig = [(math.cos(0.5 * omega), math.sin(0.5 * omega)) for omega in omegas]
-        expected = np.array([[[c, -s], [s, c]] for c, s in trig], dtype=complex)
-        assert np.array_equal(wigner_unitaries(omegas).view(np.uint64), expected.view(np.uint64))
+        expected = np.array([[[c, -s], [s, c]] for c, s in trig])
+        unitaries = wigner_unitaries(omegas)
+        assert unitaries.dtype == np.float64
+        assert np.array_equal(unitaries.view(np.uint64), expected.view(np.uint64))
 
     def test_unitaries_reject_non_finite(self):
         for bad in (float("inf"), float("-inf"), float("nan"), np.float64("nan")):
@@ -241,12 +300,12 @@ class TestMomentumTracedChannel:
     def test_alpha_zero_stack_is_the_pure_projector_stack_bit_for_bit(self, rng, n):
         # the sweep takes the pure route at alpha 0 (or -0.0) on the strength of
         # this identity; + 0.0 maps the signed zeros in which the stacks differ to +0.0
-        rotations = [wigner_unitaries(rng.uniform(-4 * np.pi, 4 * np.pi, n)) for _ in range(3)]
+        factors = point_factors(*(wigner_unitaries(rng.uniform(-4 * np.pi, 4 * np.pi, n)) for _ in range(3)))
         for state in STATE_TAGS:
             amplitudes = make_state(state).amplitudes
-            pure = pure_reductions(product_transform_batch(amplitudes, *rotations), (0, 1, 2)) + 0.0
+            pure = pure_reductions(product_transform_batch(amplitudes, *factors), (0, 1, 2)) + 0.0
             for alpha in (0.0, -0.0):
-                traced = momentum_traced_channel_batch(amplitudes, rotations, alpha) + 0.0
+                traced = momentum_traced_channel_batch(amplitudes, *factors, alpha) + 0.0
                 assert np.array_equal(traced.view(np.uint64), pure.view(np.uint64)), (state, alpha)
 
     @settings(max_examples=50, deadline=None)

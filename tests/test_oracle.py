@@ -8,6 +8,7 @@ from wignerqi.lorentz import (
     WignerAngles,
     momentum_traced_channel,
     momentum_traced_channel_batch,
+    point_factors,
     product_transform,
     wigner_unitaries,
 )
@@ -142,7 +143,7 @@ class TestTracedClosedForms:
         # the batch kernel takes one alpha, so each alpha gets 40 of the points
         rho = np.concatenate(
             [
-                momentum_traced_channel_batch(make_state(tag).amplitudes, [wigner_unitaries(o) for o in chunk.T], alpha)
+                momentum_traced_channel_batch(make_state(tag).amplitudes, *point_factors(*map(wigner_unitaries, chunk.T)), alpha)
                 for chunk, alpha in zip(np.split(angles, len(alphas)), alphas)
             ]
         )

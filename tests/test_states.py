@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from test_qmath import np_trace_reference
 
-from wignerqi.lorentz import product_transform_batch, wigner_unitaries
+from wignerqi.lorentz import point_factors, product_transform_batch, wigner_unitaries
 from wignerqi.qmath import NumericValidationError, pure_reductions
 from wignerqi.states import (
     STATE_TAGS,
@@ -223,8 +223,8 @@ def test_pure_reductions_are_partial_traces_of_projectors_bit_for_bit(rng, qubit
     haar = rng.standard_normal((2, 8, 2**qubits, 2)).view(complex)[..., 0]
     stacks = [haar / np.linalg.norm(haar, axis=-1, keepdims=True)]
     if qubits == 3:
-        rotations = [wigner_unitaries(rng.uniform(-4 * np.pi, 4 * np.pi, 64)) for _ in range(3)]
-        stacks.append(np.stack([product_transform_batch(make_state(tag).amplitudes, *rotations) for tag in STATE_TAGS]))
+        factors = point_factors(*(wigner_unitaries(rng.uniform(-4 * np.pi, 4 * np.pi, 64)) for _ in range(3)))
+        stacks.append(np.stack([product_transform_batch(make_state(tag).amplitudes, *factors) for tag in STATE_TAGS]))
     for k in range(1, qubits + 1):
         for keep in itertools.combinations(range(qubits), k):
             for rows in stacks:

@@ -364,11 +364,11 @@ class TestRunSweep:
         grid = SweepGrid(0.0, TWO_PI, 9)
         transform = lorentz.product_transform_batch
 
-        def scaled(*args):
-            return transform(*args) * (1.0 + 1e-9)
+        def scaled(*args, **kwargs):
+            return transform(*args, **kwargs) * (1.0 + 1e-9)
 
-        def with_nan(*args):
-            rows = transform(*args)
+        def with_nan(*args, **kwargs):
+            rows = transform(*args, **kwargs)
             rows[-1, 0] = np.nan
             return rows
 
