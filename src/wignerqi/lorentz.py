@@ -61,12 +61,12 @@ def wigner_unitaries(omegas) -> np.ndarray:
 
 
 def factor_table(stacks, first: int) -> np.ndarray:
-    """Rotations of a run of qubits spread over the 8x8 Kronecker layout, shape (m, 8, 8).
+    """Rotations of a run of qubits spread over the 8x8 Kronecker layout, float64 of shape (m, 8, 8).
 
-    ``stacks`` holds one (m, 2, 2) stack per qubit, for the qubits ``first``,
-    ``first + 1``, ... Entry (i, j) of row v is the product, left to right,
-    of ``stack[v][i_q, j_q]`` over the run, where i_q is qubit q's bit of i
-    (qubit 0 the most significant, as in ``np.kron``). So the one-qubit
+    ``stacks`` holds one float64 (m, 2, 2) stack per qubit, for the qubits
+    ``first``, ``first + 1``, ... Entry (i, j) of row v is the product, left
+    to right, of ``stack[v][i_q, j_q]`` over the run, where i_q is qubit q's
+    bit of i (qubit 0 the most significant, as in ``np.kron``). So the one-qubit
     tables of d0, d1 and d2 multiply, left to right, to
     ``np.kron(np.kron(d0, d1), d2)`` bit for bit, and so does the table of
     the run (d0, d1) times that of d2, as it holds the same first product;
@@ -87,8 +87,8 @@ def factor_table(stacks, first: int) -> np.ndarray:
 def product_transform_batch(amplitudes, factors, points, *, reversed_branch=False) -> np.ndarray:
     """Amplitudes of each point's rotation product applied to one three-qubit state, shape (n, 8).
 
-    ``factors`` are (m, 8, 8) tables of one dtype (see :func:`factor_table`)
-    and ``points`` an (n,) index array into each; a point's 8x8 product is the
+    ``factors`` are float64 (m, 8, 8) tables (see :func:`factor_table`) and
+    ``points`` an (n,) index array into each; a point's 8x8 product is the
     left fold of its rows, ``(factors[0][i0] * factors[1][i1]) * ...``. The
     indices are not checked: each must lie in its table. ``amplitudes`` are
     the 8 input amplitudes, and the result is unvalidated (callers check it,
@@ -99,17 +99,14 @@ def product_transform_batch(amplitudes, factors, points, *, reversed_branch=Fals
     kron-and-matvec route.
     """
     n = len(points[0])
-    dtype = factors[0].dtype
-    # One (2, 8kn, 8) block holds every large buffer of the call: the products
-    # are gathered and multiplied in its first half and widened into the
-    # second. So a chunk makes one large allocation, of one size each time;
-    # large allocations of changing sizes move glibc's dynamic mmap threshold,
-    # after which freed pages can be faulted in again on every chunk.
+    # One (2, 8kn, 8) complex block holds every large buffer of the call: the
+    # real products are gathered and multiplied in its first half and widened
+    # into the second. So a chunk makes one large allocation, of one size each
+    # time; large allocations of changing sizes move glibc's dynamic mmap
+    # threshold, after which freed pages can be faulted in again on every chunk.
     block = np.empty((2, 8 * (2 if reversed_branch else 1) * n, 8), dtype=complex)
-    work = block[0].view(dtype).reshape(-1, 8, 8)
-    rows = block[1, : 8 * n].reshape(n, 8, 8)
-    gathered = work[:n]
-    product = rows if dtype == complex else work[n : 2 * n]
+    work = block[0].view(float).reshape(-1, 8, 8)
+    gathered, product = work[:n], work[n : 2 * n]
     # mode "clip": "raise" would buffer (allocate) the out array. It moves no
     # index the package passes: the sweep's come from np.unravel_index over
     # its grid's shape, and point_factors' from np.arange.
@@ -117,8 +114,7 @@ def product_transform_batch(amplitudes, factors, points, *, reversed_branch=Fals
     for table, index in zip(factors[1:], points[1:]):
         table.take(index, 0, gathered, "clip")
         product *= gathered
-    if product is not rows:
-        rows[...] = product
+    block[1, : 8 * n].reshape(n, 8, 8)[...] = product
     if reversed_branch:
         block[1, 8 * n :].reshape(n, 8, 8)[...] = product.mT
     return (block[1] @ amplitudes).reshape(-1, 8)
@@ -127,9 +123,9 @@ def product_transform_batch(amplitudes, factors, points, *, reversed_branch=Fals
 def point_factors(d1, d2, d3):
     """:func:`product_transform_batch` arguments that rotate point i by D1[i], D2[i] and D3[i].
 
-    ``d1``..``d3`` are (n, 2, 2) stacks of per-qubit rotations. Their one
-    table holds the points' products, ``np.kron(np.kron(D1[i], D2[i]),
-    D3[i])`` bit for bit, and is read at the indices 0..n-1.
+    ``d1``..``d3`` are float64 (n, 2, 2) stacks of per-qubit rotations.
+    Their one table holds the points' products, ``np.kron(np.kron(D1[i],
+    D2[i]), D3[i])`` bit for bit, and is read at the indices 0..n-1.
     """
     return [factor_table((d1, d2, d3), 0)], [np.arange(len(d1))]
 

@@ -274,8 +274,8 @@ def test_traced_factor_fault_exit_4(tmp_path, monkeypatch):
 
     def reversed_half_scaled_in_second_chunk(*args, **kwargs):
         # one call per chunk: the forward rows, then the reversed ones
-        calls.append(None)
         rows = transform(*args, **kwargs)
+        calls.append(len(rows))
         if len(calls) == 2:
             rows[len(rows) // 2 :] *= 1.0 + 1e-9
         return rows
@@ -286,6 +286,7 @@ def test_traced_factor_fault_exit_4(tmp_path, monkeypatch):
     argv = ["sweep", "--state", "w", "--alpha", "0.25pi", "--omega1", grid]
     assert run(argv + ["--measure", "fidelity_w,concurrence_ab", "--out", str(out)]) == 4
     assert len(calls) == 2
+    assert calls[1] == 2 * 3  # the scaled call was the 3-point second chunk, both branches
     assert os.listdir(tmp_path) == []
 
 

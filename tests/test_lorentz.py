@@ -133,15 +133,15 @@ def per_point(amplitudes, d1, d2, d3):
 def transform_mismatches(seed):
     """Cases where product_transform_batch and the per-point route differ in any bit.
 
-    n = 1 and n = CHUNK_POINTS are each tried on three kinds of (n, 2, 2)
-    stacks: rotations (with the angles 0, -0, pi and -2*pi among the larger
-    stack's, so exact and signed zeros occur), their ``.mT`` views, and
-    generic complex matrices. Each is passed in three layouts of factor
-    tables: the points' products (``point_factors``), one table per qubit,
-    and the pair (d1, d2) beside d3, as a sweep's tied leading run. Each is
-    also run with its reversed branch, whose rows must be those of the
-    ``.mT`` stacks. Comparing ``.view(np.uint64)`` tells -0.0 from +0.0,
-    which ``np.array_equal`` does not.
+    n = 1 and n = CHUNK_POINTS are each tried on two kinds of float64
+    (n, 2, 2) stacks: rotations (with the angles 0, -0, pi and -2*pi among
+    the larger stack's, so exact and signed zeros occur) and their ``.mT``
+    views. Each is passed in three layouts of factor tables: the points'
+    products (``point_factors``), one table per qubit, and the pair (d1, d2)
+    beside d3, as a sweep's tied leading run. Each is also run with its
+    reversed branch, whose rows must be those of the ``.mT`` stacks.
+    Comparing ``.view(np.uint64)`` tells -0.0 from +0.0, which
+    ``np.array_equal`` does not.
     """
     rng = np.random.default_rng(seed)
     bad = []
@@ -150,8 +150,7 @@ def transform_mismatches(seed):
         if n > 4:
             omegas[:, :4] = [0.0, -0.0, np.pi, -2.0 * np.pi]
         rotations = [wigner_unitaries(o) for o in omegas]
-        generic = [rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)) for _ in range(3)]
-        for kind, stacks in (("rotations", rotations), ("transposed", [d.mT for d in rotations]), ("generic", generic)):
+        for kind, stacks in (("rotations", rotations), ("transposed", [d.mT for d in rotations])):
             layouts = {
                 "products": point_factors(*stacks),
                 "per qubit": ([factor_table([d], q) for q, d in enumerate(stacks)], [np.arange(n)] * 3),
@@ -168,6 +167,64 @@ def transform_mismatches(seed):
                         if not same:
                             bad.append(f"{kind} n={n} {tag} {layout}" + " reversed" * reversed_branch)
     return bad
+
+
+# a family preset's traced sweep: omega1 on 257 points, omega2 tied to it, omega3 fixed
+FAMILY = dict(omega1=SweepGrid(0.0, 2 * math.pi, 257), omega3=math.pi / 3, ties=("omega2=omega1",))
+
+
+def first_chunk(options):
+    """A plan's factor tables and the points of its first chunk, as sweep._chunks passes them."""
+    plan = sweep._plan("w", ["fidelity_w"], **options)
+    tables, sources = zip(*sweep._factors(plan, [wigner_unitaries(grid) for grid in plan.grids], {}))
+    shape = tuple(map(len, plan.grids))
+    indices = np.unravel_index(np.arange(min(CHUNK_POINTS, math.prod(shape))), shape)
+    return tables, [indices[s] for s in sources]
+
+
+def steady_state_faults(warmup=50, counted=200):
+    """Minor page faults per call of the chunk core's transform calls, after ``warmup`` calls.
+
+    Each call makes its large buffers in one block of one size per shape, so
+    once glibc's mmap threshold has settled a repeated call reuses freed heap
+    pages and faults none in. The cases run in this order, each warmed up and
+    then counted over ``counted`` calls.
+    """
+    import resource
+
+    amplitudes = make_state("w").amplitudes
+    family, surface = first_chunk(FAMILY), first_chunk(sweep._SURFACE)
+    cases = {
+        "traced family": lambda: momentum_traced_channel_batch(amplitudes, *family, math.pi / 4),
+        "traced surface chunk": lambda: momentum_traced_channel_batch(amplitudes, *surface, math.pi / 4),
+        "pure surface chunk": lambda: product_transform_batch(amplitudes, *surface),
+    }
+    faults = {}
+    for name, call in cases.items():
+        for _ in range(warmup):
+            call()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(counted):
+            call()
+        faults[name] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / counted
+    return faults
+
+
+def in_child(name, *args, **env):
+    """JSON result of this file's function ``name`` on integer ``args``, in a
+    fresh interpreter with one BLAS thread and the variables ``env`` set."""
+    src = str(Path(wignerqi.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", **env}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import json, runpy, sys\n"
+        "check = runpy.run_path(sys.argv[1])[sys.argv[2]]\n"
+        "print(json.dumps(check(*map(int, sys.argv[3:]))))\n"
+    )
+    argv = [sys.executable, "-c", code, __file__, name, *map(str, args)]
+    child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
 
 
 def _grid(start, count):
@@ -202,7 +259,7 @@ class TestProductTransformBatch:
                     scalar = product_transform(psi, tuple(point)).amplitudes
                     assert np.array_equal(row.view(np.uint64), scalar.view(np.uint64))
 
-    def test_bitwise_equal_over_sizes_transposes_and_generic_stacks(self, rng):
+    def test_bitwise_equal_over_sizes_and_transposes(self, rng):
         assert transform_mismatches(int(rng.integers(2**32))) == []
 
     @pytest.mark.skipif(
@@ -214,18 +271,15 @@ class TestProductTransformBatch:
     def test_bitwise_equal_under_other_blas_kernels(self, kernel, rng):
         # one tall matrix-vector call must sum as the per-point calls do on every
         # kernel; Haswell is the one an AMD runner selects. The child alone sees the variable.
-        src = str(Path(wignerqi.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = (
-            "import json, runpy, sys\n"
-            "check = runpy.run_path(sys.argv[1])['transform_mismatches']\n"
-            "print(json.dumps(check(int(sys.argv[2]))))\n"
-        )
-        argv = [sys.executable, "-c", code, __file__, str(rng.integers(2**32))]
-        child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
-        assert child.returncode == 0, child.stderr
-        assert json.loads(child.stdout.splitlines()[-1]) == []
+        assert in_child("transform_mismatches", rng.integers(2**32), OPENBLAS_CORETYPE=kernel) == []
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's minor page faults through getrusage")
+    def test_repeated_calls_fault_in_no_pages(self):
+        # one transform call per traced chunk, each with one complex block: a
+        # second call (say, for the .mT branch) faults its buffers in on every
+        # chunk yet changes no byte. A fresh child's heap is the one measured.
+        faults = in_child("steady_state_faults")
+        assert len(faults) == 3 and all(per_call <= 16 for per_call in faults.values()), faults
 
     def test_single_point_batch(self):
         psi = make_state("w")
