@@ -87,7 +87,8 @@ def factor_table(stacks, first: int) -> np.ndarray:
 def product_transform_batch(amplitudes, factors, points, *, reversed_branch=False) -> np.ndarray:
     """Amplitudes of each point's rotation product applied to one three-qubit state, shape (n, 8).
 
-    ``factors`` are float64 (m, 8, 8) tables (see :func:`factor_table`) and
+    ``factors`` are float64 (m, 8, 8) tables (see :func:`factor_table`;
+    any other dtype raises ``TypeError``) and
     ``points`` an (n,) index array into each; a point's 8x8 product is the
     left fold of its rows, ``(factors[0][i0] * factors[1][i1]) * ...``. The
     indices are not checked: each must lie in its table. ``amplitudes`` are
@@ -98,6 +99,9 @@ def product_transform_batch(amplitudes, factors, points, *, reversed_branch=Fals
     over the point-major (8n, 8) stack, bit for bit the per-point
     kron-and-matvec route.
     """
+    for table in factors:
+        if table.dtype != np.float64:
+            raise TypeError(f"factor tables must be float64, got {table.dtype}")
     n = len(points[0])
     # One (2, 8kn, 8) complex block holds every large buffer of the call: the
     # real products are gathered and multiplied in its first half and widened

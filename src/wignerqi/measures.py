@@ -93,6 +93,33 @@ def _qubit_spectra(a, b, c_abs) -> np.ndarray:
     return mean[..., None] + radius[..., None] * _MINUS_PLUS
 
 
+def batch_with_reuse(kernel, stack, earlier) -> np.ndarray:
+    """``kernel(stack)`` of an (n, d, d) stack, copying the value of each row met before.
+
+    A row equal bit for bit (+0.0 and -0.0 differ) to the same row of a stack
+    in ``earlier`` takes that stack's value; ``kernel`` gets the other rows,
+    the whole stack uncopied if none matched, and no call if all did. Exact
+    for kernels that treat each matrix alone (``eigh``, ``eigvalsh``, ufuncs,
+    sums over the last axis). Appends this stack's bits and values to ``earlier``.
+    """
+    bits = np.ascontiguousarray(stack).view(np.uint64)
+    todo = np.ones(len(stack), dtype=bool)
+    values = None
+    for seen_bits, seen_values in earlier:
+        same = todo & (seen_bits == bits).all(axis=(-2, -1))
+        if same.any():
+            if values is None:
+                values = np.empty_like(seen_values)
+            values[same] = seen_values[same]
+            todo &= ~same
+    if values is None:
+        values = kernel(stack)
+    elif todo.any():
+        values[todo] = kernel(stack[todo])
+    earlier.append((bits, values))
+    return values
+
+
 def von_neumann_entropy_batch(matrices) -> np.ndarray:
     """Entropies -sum(p * log2(p)) of each spectrum of a (..., d, d) stack, with 0*log0 = 0.
 
@@ -163,10 +190,17 @@ def _with_mean(ab, ac, bc):
 def average_capacity_batch(matrices):
     """Pair capacities ab, ac, bc and their mean for a (..., 8, 8) stack of validated states.
 
-    Returns four arrays with the stack's leading shape.
+    Returns four arrays with the stack's leading shape. Along a point axis, pair
+    states equal bit for bit at a point share one joint entropy (:func:`batch_with_reuse`).
     """
     pairs = np.stack([partial_trace(matrices, pair) for pair in ((0, 1), (0, 2), (1, 2))])
-    return _with_mean(*pair_capacity_batch(pairs))
+    senders = von_neumann_entropy_batch(partial_trace(pairs, (0,)))
+    if pairs.ndim == 3:  # one state: a single eigvalsh call beats three one-matrix calls
+        joint = von_neumann_entropy_batch(pairs)
+    else:
+        earlier = []
+        joint = [batch_with_reuse(von_neumann_entropy_batch, p, earlier) for p in pairs.reshape(3, -1, 4, 4)]
+    return _with_mean(*_capacities(senders, np.reshape(joint, senders.shape)))
 
 
 def pure_capacity_batch(amplitudes):

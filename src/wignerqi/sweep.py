@@ -29,6 +29,7 @@ from .lorentz import (
 )
 from .measures import (
     average_capacity_batch,
+    batch_with_reuse,
     concurrence_batch,
     fidelity_pure_batch,
     fidelity_vs_target_batch,
@@ -254,7 +255,8 @@ def _chunks(plan: _Plan, factors):
     reductions ``pure_reductions`` forms with no (n, 8, 8) stack. At any other
     alpha every measure reads the block's traced-channel output and its
     partial traces. Each requested pair concurrence is one call over its
-    (n, 4, 4) reductions.
+    (n, 4, 4) reductions, reusing the value of a point whose pair state equals
+    an earlier pair's bit for bit (:func:`batch_with_reuse`).
     Every transformed row is checked to unit norm, which certifies every
     density formed from it (see :func:`~wignerqi.qmath.pure_reductions`), so
     no stack is eigensolved to validate it.
@@ -280,7 +282,10 @@ def _chunks(plan: _Plan, factors):
             values["avg_capacity"] = capacities(state)[3]
         if "three_tangle" in plan.measures:  # planned at alpha 0 only
             values["three_tangle"] = three_tangle_batch(state)[3]
-        values.update({m: concurrence_batch(reduce(state, _PAIRS[m])) for m in plan.measures if m in _PAIRS})
+        pairs = []  # the chunk's pair states so far, for exact reuse
+        for m in plan.measures:
+            if m in _PAIRS:
+                values[m] = batch_with_reuse(concurrence_batch, reduce(state, _PAIRS[m]), pairs)
         if "entropy_a" in plan.measures:
             values["entropy_a"] = von_neumann_entropy_batch(reduce(state, (0,)))
         yield indices, values

@@ -290,6 +290,20 @@ class TestProductTransformBatch:
         assert np.array_equal(batch, per_point(psi.amplitudes, *rotations))
         assert np.array_equal(batch[0], product_transform(psi, angles).amplitudes)
 
+    def test_refuses_factor_tables_that_are_not_float64(self):
+        # a complex table once went through the float view with a ComplexWarning
+        # alone, dropping its imaginary parts: a zero row for this d * 1j
+        psi = make_state("w")
+        d = wigner_unitaries([0.3])
+        factors, points = point_factors(d, d, d)
+        batch = product_transform_batch(psi.amplitudes, factors, points)
+        assert np.array_equal(batch.view(np.uint64), per_point(psi.amplitudes, d, d, d).view(np.uint64))
+        for tables in (point_factors(d * 1j, d * 1j, d * 1j)[0], [factors[0].astype(np.float32)]):
+            with pytest.raises(TypeError, match=f"factor tables must be float64, got {tables[0].dtype}$"):
+                product_transform_batch(psi.amplitudes, tables, points)
+        with pytest.raises(TypeError, match="got complex128$"):  # every table is checked, not the first alone
+            product_transform_batch(psi.amplitudes, [factors[0], factors[0] + 0j], points * 2)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     @pytest.mark.parametrize("sources", sorted(TIE_PATTERNS), ids=lambda s: "".join(map(str, s)))
     def test_sweep_rows_equal_per_point_under_every_tie_pattern(self, monkeypatch, sources, alpha):

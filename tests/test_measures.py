@@ -7,11 +7,19 @@ import numpy as np
 import pytest
 
 from wignerqi import measures
-from wignerqi.lorentz import WignerAngles, product_transform, wigner_unitaries
+from wignerqi.lorentz import (
+    WignerAngles,
+    momentum_traced_channel_batch,
+    point_factors,
+    product_transform,
+    product_transform_batch,
+    wigner_unitaries,
+)
 from wignerqi.measures import (
     CapacityClampWarning,
     average_capacity,
     average_capacity_batch,
+    batch_with_reuse,
     clamp_capacity_batch,
     concurrence,
     concurrence_batch,
@@ -33,7 +41,7 @@ from wignerqi.oracle import (
     oracle_partial_trace,
     oracle_three_tangle,
 )
-from wignerqi.qmath import NumericValidationError, matrix_sqrt_psd, pure_reductions
+from wignerqi.qmath import NumericValidationError, matrix_sqrt_psd, partial_trace, pure_reductions
 from wignerqi.states import STATE_TAGS, DensityOperator, PureState, make_state, reduced, to_density
 
 SQ2 = 1 / np.sqrt(2)
@@ -344,6 +352,61 @@ class TestConcurrence:
             values = concurrence_batch(pairs)
             assert np.count_nonzero(values) > 50
             np.testing.assert_array_equal(values, matmul_concurrences(pairs))
+
+
+class TestBatchWithReuse:
+    """A kernel's value is copied only for a matrix equal bit for bit to an
+    earlier one at the same point, which is exact because the kernels give a
+    subset of rows the whole stack's bits."""
+
+    def test_reuses_exactly_the_rows_equal_bit_for_bit(self, rng):
+        calls = []
+
+        def kernel(stack):  # each value names the call that computed it
+            calls.append(stack)
+            return np.full(len(stack), float(len(calls)))
+
+        first = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        first[1, 2, 3] = 0.0
+        first[3, 1, 1] = complex(np.nan, 0.5)
+        second = first.copy()
+        second[1, 2, 3] = -0.0  # equal as floats, not as bits
+        second[2, 0, 0] += np.spacing(second[2, 0, 0].real)  # the last bit of one entry
+        second[4] = first[0]  # another point's matrix
+        earlier = []
+        assert batch_with_reuse(kernel, first, earlier).tolist() == [1.0] * 5
+        assert len(calls) == 1 and calls[0] is first  # no match: the whole stack, uncopied
+        # rows 0 and 3 (its NaN has the same bits) are copied, rows 1, 2 and 4 computed
+        assert batch_with_reuse(kernel, second, earlier).tolist() == [1.0, 2.0, 2.0, 1.0, 2.0]
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[1].view(np.uint64), second[[1, 2, 4]].view(np.uint64))
+        # every row equals a row of one earlier stack or the other: no kernel call
+        third = np.stack([first[0], second[1], second[2], first[3], second[4]])
+        assert batch_with_reuse(kernel, third, earlier).tolist() == [1.0, 2.0, 2.0, 1.0, 2.0]
+        assert len(calls) == 2 and len(earlier) == 3
+
+    @pytest.mark.parametrize("state", STATE_TAGS)
+    def test_kernels_give_a_subset_of_rows_the_whole_stacks_bits(self, rng, state):
+        # the traced and pure pair states of a family plan's 257 points, at seeded angles
+        n = 257
+        factors, points = point_factors(*(wigner_unitaries(rng.uniform(-2 * np.pi, 2 * np.pi, n)) for _ in range(3)))
+        psi = make_state(state).amplitudes
+        traced = momentum_traced_channel_batch(psi, factors, points, np.pi / 4)
+        pure = product_transform_batch(psi, factors, points)
+        stacks = [partial_trace(traced, pair) for pair in ((0, 1), (0, 2), (1, 2))]
+        stacks += [pure_reductions(pure, pair) for pair in ((0, 1), (0, 2), (1, 2))]
+        masks = {
+            "every other row": np.arange(n) % 2 == 0,
+            "a seeded third": rng.permutation(n) < n // 3,
+            "the first row": np.arange(n) == 0,
+            "the last row": np.arange(n) == n - 1,
+        }
+        for kernel in (concurrence_batch, von_neumann_entropy_batch):
+            for stack in stacks:
+                whole = kernel(stack)
+                for name, mask in masks.items():
+                    subset = kernel(stack[mask])
+                    assert np.array_equal(subset.view(np.uint64), whole[mask].view(np.uint64)), (kernel, name)
 
 
 class TestTangle:

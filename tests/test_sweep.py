@@ -22,7 +22,7 @@ from wignerqi.measures import (
     three_tangle,
     von_neumann_entropy,
 )
-from wignerqi.qmath import NumericValidationError
+from wignerqi.qmath import NumericValidationError, partial_trace
 from wignerqi.states import STATE_TAGS, PureState, make_state, reduced, to_density, validate_density
 from wignerqi.sweep import (
     CSV_HEADER,
@@ -526,6 +526,71 @@ class TestDensityCertificate:
             psi = PureState(amps / np.linalg.norm(amps))
         validate_density(to_density(product_transform(psi, angles)).matrix)
         validate_density(momentum_traced_channel(psi, angles, MomentumConfig(alpha)).matrix)
+
+
+class TestPairReuse:
+    """Each family preset ties omega2 to omega1 and all four states are
+    symmetric under qubit exchange, so rho_ac and rho_bc of a traced point are
+    one state, and often equal bit for bit. A pair matrix equal bit for bit to
+    an earlier pair's at the same point is not eigensolved again."""
+
+    @pytest.mark.parametrize("name", ["3a", "3b", "4a", "4b"])
+    def test_traced_pair_kernels_see_each_matrix_once(self, tmp_path, monkeypatch, name):
+        states, seen, clamped = [], [], []
+        channel, clamp = sweep.momentum_traced_channel_batch, measures.clamp_capacity_batch
+        concurrences, entropies = measures.concurrence_batch, measures.von_neumann_entropy_batch
+
+        def recording(kernel, log, keep=lambda x: True):  # logs the first argument
+            def run(x, *args):
+                if keep(x):
+                    log.append(x.copy())
+                return kernel(x, *args)
+
+            return run
+
+        def traced(*args):  # logs the output
+            states.append(channel(*args))
+            return states[-1]
+
+        monkeypatch.setattr(sweep, "momentum_traced_channel_batch", traced)
+        monkeypatch.setattr(measures, "clamp_capacity_batch", recording(clamp, clamped))
+        if name.startswith("3"):  # the joint entropies; the sender marginals are qubits
+            joint = recording(entropies, seen, lambda x: x.shape[-1] == 4)
+            monkeypatch.setattr(measures, "von_neumann_entropy_batch", joint)
+        else:  # the traced pair concurrences (the pure tangles call measures.concurrence_batch)
+            monkeypatch.setattr(sweep, "concurrence_batch", recording(concurrences, seen))
+        run_figure(name, tmp_path)
+        assert len(states) == 4 and all(len(state) == 257 for state in states)  # one chunk per traced plan
+        expected = []
+        for state in states:
+            ab, ac, bc = (partial_trace(state, pair) for pair in PAIRS.values())
+            bits = [stack.view(np.uint64) for stack in (ab, ac, bc)]
+
+            def equal(i, j):
+                return (bits[i] == bits[j]).all(axis=(-2, -1))
+
+            new_ac, new_bc = ~equal(1, 0), ~(equal(2, 0) | equal(2, 1))
+            if name.endswith("a"):  # GHZ: every bc equals its ac
+                assert not new_bc.any()
+            # a stack every row of which matched reaches no kernel
+            expected += [stack for stack in (ab, ac[new_ac], bc[new_bc]) if len(stack)]
+        assert [len(stack) for stack in seen] == [len(stack) for stack in expected]
+        for got, want in zip(seen, expected):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        rows = sum(map(len, seen))
+        if name.endswith("a"):  # at most 2 x 257 matrices a plan, of the 3 x 257 pair states
+            assert rows <= 2 * 257 * 4
+        else:  # W: bc reuses some of its rows
+            assert 2 * 257 * 4 < rows < 3 * 257 * 4
+        if name.startswith("3"):
+            # the capacities and their clamp warnings are formed from the full arrays,
+            # bit for bit the values of eigensolving every pair
+            traced = clamped[1::2]  # each omega3 runs the pure plan, then the traced one
+            assert len(traced) == 4
+            for state, raw in zip(states, traced):
+                pairs = np.stack([partial_trace(state, pair) for pair in PAIRS.values()])
+                full = 1.0 + entropies(partial_trace(pairs, (0,))) - entropies(pairs)
+                assert np.array_equal(raw.view(np.uint64), full.view(np.uint64))
 
 
 class TestWriteCsv:
