@@ -93,31 +93,27 @@ def _qubit_spectra(a, b, c_abs) -> np.ndarray:
     return mean[..., None] + radius[..., None] * _MINUS_PLUS
 
 
-def batch_with_reuse(kernel, stack, earlier) -> np.ndarray:
-    """``kernel(stack)`` of an (n, d, d) stack, copying the value of each row met before.
+def batch_with_reuse(kernel, stacks) -> np.ndarray:
+    """Values (k, n) of ``kernel`` on each matrix of a (k, n, d, d) stack, in one call.
 
-    A row equal bit for bit (+0.0 and -0.0 differ) to the same row of a stack
-    in ``earlier`` takes that stack's value; ``kernel`` gets the other rows,
-    the whole stack uncopied if none matched, and no call if all did. Exact
-    for kernels that treat each matrix alone (``eigh``, ``eigvalsh``, ufuncs,
-    sums over the last axis). Appends this stack's bits and values to ``earlier``.
+    Row (i, p) equal bit for bit (+0.0 and -0.0 differ, a NaN equals itself)
+    to row p of an earlier stack j < i copies the first such j's value;
+    ``kernel`` gets the other rows in (stack, point) order, the whole stack
+    reshaped with no copy if none matched. Exact for kernels that treat each
+    matrix alone (``eigh``, ``eigvalsh``, ufuncs, sums over the last axis).
     """
-    bits = np.ascontiguousarray(stack).view(np.uint64)
-    todo = np.ones(len(stack), dtype=bool)
-    values = None
-    for seen_bits, seen_values in earlier:
-        same = todo & (seen_bits == bits).all(axis=(-2, -1))
-        if same.any():
-            if values is None:
-                values = np.empty_like(seen_values)
-            values[same] = seen_values[same]
-            todo &= ~same
-    if values is None:
-        values = kernel(stack)
-    elif todo.any():
-        values[todo] = kernel(stack[todo])
-    earlier.append((bits, values))
-    return values
+    stacks = np.ascontiguousarray(stacks)
+    k, n = stacks.shape[:2]
+    bits = stacks.view(np.uint64)
+    same = (bits[:, None] == bits).all(axis=(-2, -1))  # (k, k, n): stacks i and j equal at row p
+    if np.count_nonzero(same) == k * n:  # each row equals only itself
+        return kernel(stacks.reshape(k * n, *stacks.shape[2:])).reshape(k, n)
+    source = same.argmax(axis=1)  # the first stack j <= i equal at row p
+    new = source == np.arange(k)[:, None]
+    computed = kernel(stacks[new])
+    values = np.empty((k, n), computed.dtype)
+    values[new] = computed
+    return values[source, np.arange(n)]
 
 
 def von_neumann_entropy_batch(matrices) -> np.ndarray:
@@ -190,17 +186,14 @@ def _with_mean(ab, ac, bc):
 def average_capacity_batch(matrices):
     """Pair capacities ab, ac, bc and their mean for a (..., 8, 8) stack of validated states.
 
-    Returns four arrays with the stack's leading shape. Along a point axis, pair
-    states equal bit for bit at a point share one joint entropy (:func:`batch_with_reuse`).
+    Returns four arrays with the stack's leading shape. A pair state equal bit
+    for bit to an earlier pair's at its point shares that joint entropy
+    (:func:`batch_with_reuse`); one state's three go to the kernel in one call.
     """
     pairs = np.stack([partial_trace(matrices, pair) for pair in ((0, 1), (0, 2), (1, 2))])
     senders = von_neumann_entropy_batch(partial_trace(pairs, (0,)))
-    if pairs.ndim == 3:  # one state: a single eigvalsh call beats three one-matrix calls
-        joint = von_neumann_entropy_batch(pairs)
-    else:
-        earlier = []
-        joint = [batch_with_reuse(von_neumann_entropy_batch, p, earlier) for p in pairs.reshape(3, -1, 4, 4)]
-    return _with_mean(*_capacities(senders, np.reshape(joint, senders.shape)))
+    joint = batch_with_reuse(von_neumann_entropy_batch, pairs.reshape(3, -1, 4, 4))
+    return _with_mean(*_capacities(senders, joint.reshape(senders.shape)))
 
 
 def pure_capacity_batch(amplitudes):

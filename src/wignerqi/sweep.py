@@ -254,15 +254,16 @@ def _chunks(plan: _Plan, factors):
     the pure transform, and every measure reads its (n, 8) amplitudes, whose
     reductions ``pure_reductions`` forms with no (n, 8, 8) stack. At any other
     alpha every measure reads the block's traced-channel output and its
-    partial traces. Each requested pair concurrence is one call over its
-    (n, 4, 4) reductions, reusing the value of a point whose pair state equals
-    an earlier pair's bit for bit (:func:`batch_with_reuse`).
+    partial traces. The requested pair concurrences are one call over their
+    reductions stacked in plan order, reusing the value of a point whose pair
+    state equals an earlier pair's bit for bit (:func:`batch_with_reuse`).
     Every transformed row is checked to unit norm, which certifies every
     density formed from it (see :func:`~wignerqi.qmath.pure_reductions`), so
     no stack is eigensolved to validate it.
     """
     psi0 = make_state(plan.state)
     targets = {m: make_state(_FIDELITY_TARGETS[m]).amplitudes for m in plan.measures if m in _FIDELITY_TARGETS}
+    pairs = [m for m in plan.measures if m in _PAIRS]
     tables, sources = zip(*factors)
     shape = tuple(map(len, plan.grids))
     total = math.prod(shape)
@@ -282,10 +283,9 @@ def _chunks(plan: _Plan, factors):
             values["avg_capacity"] = capacities(state)[3]
         if "three_tangle" in plan.measures:  # planned at alpha 0 only
             values["three_tangle"] = three_tangle_batch(state)[3]
-        pairs = []  # the chunk's pair states so far, for exact reuse
-        for m in plan.measures:
-            if m in _PAIRS:
-                values[m] = batch_with_reuse(concurrence_batch, reduce(state, _PAIRS[m]), pairs)
+        if pairs:
+            stacks = np.stack([reduce(state, _PAIRS[m]) for m in pairs])
+            values.update(zip(pairs, batch_with_reuse(concurrence_batch, stacks)))
         if "entropy_a" in plan.measures:
             values["entropy_a"] = von_neumann_entropy_batch(reduce(state, (0,)))
         yield indices, values
@@ -345,7 +345,10 @@ def _staged_csvs():
             if os.path.basename(os.fspath(destination)) in ("", ".", ".."):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(destination))
             temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            handle = open(temp, "w", encoding="ascii", newline="\n")
+            try:
+                handle = open(temp, "w", encoding="ascii", newline="\n")
+            except OSError as error:  # name the destination, not the hidden temporary file
+                raise type(error)(error.errno, error.strerror, os.fspath(destination)) from error
             staged[path] = (temp, handle)
             handle.write(CSV_HEADER + "\n")
         return staged[path][1]

@@ -176,7 +176,7 @@ REFUSALS = {
     "missing_parent": (
         sweep_argv("--measure", "entropy_a", out="no/such/dir/out.csv"),
         3,
-        "No such file or directory",
+        "No such file or directory: 'no/such/dir/out.csv'",
     ),
     "out_dir_is_a_file": (["figure", "1c", "--out-dir", "afile"], 3, "File exists: 'afile'"),
     "out_existing_directory": (sweep_argv("--measure", "fidelity_w", out="d"), 3, "Is a directory: 'd'"),

@@ -229,6 +229,20 @@ class TestCapacity:
         assert average_capacity(to_density(make_state("ghz_plus"))).average == pytest.approx(1.0, abs=1e-12)
         assert average_capacity(to_density(make_state("w"))).average == pytest.approx(1.0, abs=1e-12)
 
+    def test_one_state_eigensolves_its_three_pairs_in_one_call(self, rng, monkeypatch):
+        rho = to_density(haar_random_state(3, rng))
+        expected = average_capacity(rho)
+        entropies, joint = measures.von_neumann_entropy_batch, []
+
+        def recording(matrices):  # logs the joint entropies' input; the sender marginals are qubits
+            if matrices.shape[-1] == 4:
+                joint.append(matrices)
+            return entropies(matrices)
+
+        monkeypatch.setattr(measures, "von_neumann_entropy_batch", recording)
+        assert average_capacity(rho) == expected
+        assert [stack.shape for stack in joint] == [(3, 4, 4)]
+
     def test_maximally_mixed_floor(self):
         breakdown = average_capacity(DensityOperator(np.eye(8) / 8))
         assert breakdown.pair_ab == pytest.approx(0.0, abs=1e-12)
@@ -362,9 +376,9 @@ class TestBatchWithReuse:
     def test_reuses_exactly_the_rows_equal_bit_for_bit(self, rng):
         calls = []
 
-        def kernel(stack):  # each value names the call that computed it
+        def kernel(stack):  # each value is its row's place in the call
             calls.append(stack)
-            return np.full(len(stack), float(len(calls)))
+            return np.arange(len(stack), dtype=float)
 
         first = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
         first[1, 2, 3] = 0.0
@@ -373,17 +387,19 @@ class TestBatchWithReuse:
         second[1, 2, 3] = -0.0  # equal as floats, not as bits
         second[2, 0, 0] += np.spacing(second[2, 0, 0].real)  # the last bit of one entry
         second[4] = first[0]  # another point's matrix
-        earlier = []
-        assert batch_with_reuse(kernel, first, earlier).tolist() == [1.0] * 5
-        assert len(calls) == 1 and calls[0] is first  # no match: the whole stack, uncopied
-        # rows 0 and 3 (its NaN has the same bits) are copied, rows 1, 2 and 4 computed
-        assert batch_with_reuse(kernel, second, earlier).tolist() == [1.0, 2.0, 2.0, 1.0, 2.0]
-        assert len(calls) == 2
-        np.testing.assert_array_equal(calls[1].view(np.uint64), second[[1, 2, 4]].view(np.uint64))
-        # every row equals a row of one earlier stack or the other: no kernel call
+        # every row equals the same row of one earlier stack or the other
         third = np.stack([first[0], second[1], second[2], first[3], second[4]])
-        assert batch_with_reuse(kernel, third, earlier).tolist() == [1.0, 2.0, 2.0, 1.0, 2.0]
-        assert len(calls) == 2 and len(earlier) == 3
+        values = batch_with_reuse(kernel, np.stack([first, second, third]))
+        # second's rows 0 and 3 (its NaN has the same bits) are first's, rows 1, 2 and 4 computed
+        assert values.tolist() == [[0, 1, 2, 3, 4], [0, 5, 6, 3, 7], [0, 5, 6, 3, 7]]
+        assert len(calls) == 1
+        np.testing.assert_array_equal(
+            calls[0].view(np.uint64), np.concatenate([first, second[[1, 2, 4]]]).view(np.uint64)
+        )
+        # no row matches: the whole stack reaches the kernel once, reshaped, uncopied
+        stacks = np.stack([first, np.roll(first, 1, axis=0)])  # each row another point's matrix
+        assert batch_with_reuse(kernel, stacks).tolist() == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+        assert len(calls) == 2 and calls[1].shape == (10, 4, 4) and np.shares_memory(calls[1], stacks)
 
     @pytest.mark.parametrize("state", STATE_TAGS)
     def test_kernels_give_a_subset_of_rows_the_whole_stacks_bits(self, rng, state):
