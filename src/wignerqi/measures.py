@@ -233,10 +233,15 @@ def concurrence_batch(pairs) -> np.ndarray:
     those of rho @ rho_tilde, where rho_tilde is the spin-flipped state
     (sigma_y x sigma_y) rho* (sigma_y x sigma_y).
     """
-    rho_tilde = _FLIP_SIGNS * pairs.conj()[..., ::-1, ::-1]
     root = matrix_sqrt_psd(pairs)
+    rho_tilde = pairs[..., ::-1, ::-1].conj()
+    rho_tilde *= _FLIP_SIGNS
     inner = root @ rho_tilde @ root
-    mu = np.linalg.eigvalsh(0.5 * (inner + inner.conj().mT))
+    del root, rho_tilde
+    # in place, to hold fewer stack-sized arrays: the sum and halving of 0.5 * (inner + inner.conj().mT)
+    inner += inner.conj().mT
+    inner *= 0.5
+    mu = np.linalg.eigvalsh(inner)
     # Exact rank deficiency shows up as eigenvalues of size ~eps*mu_max; the
     # relative floor keeps sqrt from amplifying that roundoff to ~1e-8.
     # (eigvalsh sorts ascending, so the last column is mu_max.)

@@ -106,5 +106,8 @@ def matrix_sqrt_psd(matrix) -> np.ndarray:
     values = np.clip(values[..., ::-1], 0.0, None)
     vectors = vectors[..., ::-1]
     root = (vectors * np.sqrt(values)[..., None, :]) @ vectors.conj().mT
-    # symmetrize away roundoff so the result is Hermitian to machine precision
-    return 0.5 * (root + root.conj().mT)
+    del vectors
+    # symmetrize away roundoff, in place as 0.5 * (root + root.conj().mT), for a Hermitian result
+    root += root.conj().mT
+    root *= 0.5
+    return root

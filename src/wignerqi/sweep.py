@@ -44,18 +44,18 @@ TWO_PI = 2.0 * math.pi
 
 AXES = ("omega1", "omega2", "omega3")
 
-_FIDELITY_TARGETS = {
+FIDELITY_TARGETS = {
     "fidelity_gplus": "ghz_plus",
     "fidelity_gminus": "ghz_minus",
     "fidelity_w": "w",
     "fidelity_wprime": "w_prime",
 }
-_PAIRS = {
+PAIRS = {
     "concurrence_ab": (0, 1),
     "concurrence_ac": (0, 2),
     "concurrence_bc": (1, 2),
 }
-MEASURE_IDS = (*_FIDELITY_TARGETS, "avg_capacity", "three_tangle", *_PAIRS, "entropy_a")
+MEASURE_IDS = (*FIDELITY_TARGETS, "avg_capacity", "three_tangle", *PAIRS, "entropy_a")
 
 # Grid points evaluated as one batch. run_figure streams each batch to disk,
 # so this also bounds its working memory; of 256-2048, 512 ran the 129x129
@@ -262,8 +262,8 @@ def _chunks(plan: _Plan, factors):
     no stack is eigensolved to validate it.
     """
     psi0 = make_state(plan.state)
-    targets = {m: make_state(_FIDELITY_TARGETS[m]).amplitudes for m in plan.measures if m in _FIDELITY_TARGETS}
-    pairs = [m for m in plan.measures if m in _PAIRS]
+    targets = {m: make_state(FIDELITY_TARGETS[m]).amplitudes for m in plan.measures if m in FIDELITY_TARGETS}
+    pairs = [m for m in plan.measures if m in PAIRS]
     tables, sources = zip(*factors)
     shape = tuple(map(len, plan.grids))
     total = math.prod(shape)
@@ -284,7 +284,7 @@ def _chunks(plan: _Plan, factors):
         if "three_tangle" in plan.measures:  # planned at alpha 0 only
             values["three_tangle"] = three_tangle_batch(state)[3]
         if pairs:
-            stacks = np.stack([reduce(state, _PAIRS[m]) for m in pairs])
+            stacks = np.stack([reduce(state, PAIRS[m]) for m in pairs])
             values.update(zip(pairs, batch_with_reuse(concurrence_batch, stacks)))
         if "entropy_a" in plan.measures:
             values["entropy_a"] = von_neumann_entropy_batch(reduce(state, (0,)))
@@ -488,8 +488,8 @@ _PRESETS = {
     "2c": [("", "w", ("fidelity_w", "fidelity_wprime"), _SLICE)],
     "3a": _family("ghz_plus", ("avg_capacity",), ("avg_capacity",)),
     "3b": _family("w", ("avg_capacity",), ("avg_capacity",)),
-    "4a": _family("ghz_plus", ("three_tangle",), tuple(_PAIRS)),
-    "4b": _family("w", ("three_tangle",), tuple(_PAIRS)),
+    "4a": _family("ghz_plus", ("three_tangle",), tuple(PAIRS)),
+    "4b": _family("w", ("three_tangle",), tuple(PAIRS)),
 }
 FIGURE_NAMES = tuple(_PRESETS)
 

@@ -29,13 +29,11 @@ from wignerqi.qmath import partial_trace, pure_reductions
 from wignerqi.states import STATE_TAGS, PureState, make_state, reduced, to_density, validate_density
 from wignerqi.sweep import AXES, CHUNK_POINTS, MEASURE_IDS, SweepGrid, run_sweep
 
+from conftest import TRACED_MEASURES, random_angles
+
 SQ2 = 1 / np.sqrt(2)
 
 angles_st = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi, allow_nan=False)
-
-
-def random_angles(rng):
-    return WignerAngles(*rng.uniform(0.0, 2.0 * np.pi, 3))
 
 
 class TestWignerUnitary:
@@ -215,7 +213,8 @@ def in_child(name, *args, **env):
     fresh interpreter with one BLAS thread and the variables ``env`` set."""
     src = str(Path(wignerqi.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", **env}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # this file imports its helpers from conftest.py beside it
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, str(Path(__file__).parent), env.get("PYTHONPATH")]))
     code = (
         "import json, runpy, sys\n"
         "check = runpy.run_path(sys.argv[1])[sys.argv[2]]\n"
@@ -514,7 +513,7 @@ class TestTracedChannelIdentities:
     def test_two_pi_periodicity(self, state, alpha, angles, axis):
         # D(omega + 2pi) = -D(omega) flips only the sign of a branch, which no
         # measure sees; alpha 0 is the pure transform, the only one with a three-tangle
-        measures = [m for m in MEASURE_IDS if alpha == 0.0 or m != "three_tangle"]
+        measures = MEASURE_IDS if alpha == 0.0 else TRACED_MEASURES
         base = dict(zip(AXES, angles))
         shifted = {**base, axis: base[axis] + 2 * math.pi}
         records = run_sweep(state, measures, alpha=alpha, **base)

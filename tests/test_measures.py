@@ -8,7 +8,6 @@ import pytest
 
 from wignerqi import measures
 from wignerqi.lorentz import (
-    WignerAngles,
     momentum_traced_channel_batch,
     point_factors,
     product_transform,
@@ -44,6 +43,8 @@ from wignerqi.oracle import (
 from wignerqi.qmath import NumericValidationError, matrix_sqrt_psd, partial_trace, pure_reductions
 from wignerqi.states import STATE_TAGS, DensityOperator, PureState, make_state, reduced, to_density
 
+from conftest import random_angles
+
 SQ2 = 1 / np.sqrt(2)
 EPS = np.finfo(float).eps
 
@@ -73,10 +74,6 @@ def qubit_density_stack(rng, count):
 
 def bell_pair():
     return PureState(np.array([SQ2, 0, 0, SQ2]))
-
-
-def random_angles(rng):
-    return WignerAngles(*rng.uniform(0.0, 2.0 * np.pi, 3))
 
 
 WRONG_QUBIT_COUNTS = {

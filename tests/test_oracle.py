@@ -38,13 +38,11 @@ from wignerqi.oracle import (
 )
 from wignerqi.qmath import partial_trace
 from wignerqi.states import STATE_TAGS, DensityOperator, PureState, make_state, reduced, to_density
-from wignerqi.sweep import FIGURE_NAMES, SweepGrid, run_figure
+from wignerqi.sweep import FIDELITY_TARGETS, FIGURE_NAMES, PAIRS, run_figure
+
+from conftest import preset_values, random_angles
 
 SQ2 = 1 / np.sqrt(2)
-
-
-def random_angles(rng):
-    return WignerAngles(*rng.uniform(0.0, 2.0 * np.pi, 3))
 
 
 def random_density(rng, qubit_count):
@@ -349,31 +347,6 @@ class TestOracleConcurrenceMixed:
                 assert abs(concurrence(reduced(rho, pair)) - expected) <= self.TOLERANCE, (pair, angles)
 
 
-def printed(values):
-    """Each value keyed by its CSV text, so that a printed angle maps back to its grid value."""
-    return {format(float(v), ".12g"): float(v) for v in values}
-
-
-SURFACE_AXES = (printed(SweepGrid(0.0, 2 * math.pi, 129).values()),) * 3
-SLICE_AXES = (printed(SweepGrid(0.0, 2 * math.pi, 257).values()),) * 3
-FAMILY_AXES = (*SLICE_AXES[:2], printed((0.0, math.pi / 3, math.pi / 4, math.pi / 6)))
-# omega1, omega2 and omega3 of each preset: surfaces tie omega2 to omega1, slices tie all three,
-# and families sweep the tied pair at four fixed omega3
-PRESET_AXES = {
-    **dict.fromkeys(("1a", "1b", "2a", "2b"), SURFACE_AXES),
-    **dict.fromkeys(("1c", "2c"), SLICE_AXES),
-    **dict.fromkeys(("3a", "3b", "4a", "4b"), FAMILY_AXES),
-}
-PRESET_ALPHAS = printed((0.0, math.pi / 4))  # .pure rows and .traced rows
-FIDELITY_TARGETS = {
-    "fidelity_gplus": "ghz_plus",
-    "fidelity_gminus": "ghz_minus",
-    "fidelity_w": "w",
-    "fidelity_wprime": "w_prime",
-}
-PAIRS = {"concurrence_ab": (0, 1), "concurrence_ac": (0, 2), "concurrence_bc": (1, 2)}
-
-
 def oracle_row_value(state, alpha, angles, measure):
     """A preset row's value through oracle routes only, and the route's error bound."""
     psi = make_state(state)
@@ -409,9 +382,9 @@ class TestPresetRows:
             for path, count in run_figure(name, tmp_path):
                 lines = path.read_text().splitlines()[1:]
                 for index in (0, count - 1, *rng.choice(np.arange(1, count - 1), 6, replace=False)):
-                    state, alpha, *angles, measure, value = lines[index].split(",")
-                    angles = [axis[text] for axis, text in zip(PRESET_AXES[name], angles)]
-                    expected, route_error = oracle_row_value(state, PRESET_ALPHAS[alpha], angles, measure)
+                    state, *columns, measure, value = lines[index].split(",")
+                    alpha, *angles = (values[text] for values, text in zip(preset_values(name), columns))
+                    expected, route_error = oracle_row_value(state, alpha, angles, measure)
                     assert abs(float(value) - expected) <= half_unit(value) + route_error, (path.name, lines[index])
                 checked.append(path.name)
         assert len(checked) == 20

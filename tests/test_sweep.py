@@ -26,7 +26,9 @@ from wignerqi.qmath import NumericValidationError, partial_trace
 from wignerqi.states import STATE_TAGS, PureState, make_state, reduced, to_density, validate_density
 from wignerqi.sweep import (
     CSV_HEADER,
+    FIDELITY_TARGETS,
     MAX_SWEEP_ROWS,
+    PAIRS,
     MeasureRecord,
     SweepGrid,
     parse_angle,
@@ -36,6 +38,8 @@ from wignerqi.sweep import (
     run_sweep,
     write_csv,
 )
+
+from conftest import TRACED_MEASURES, preset_values
 
 TWO_PI = 2 * math.pi
 
@@ -395,10 +399,6 @@ def per_point_value(measure, psi, rho):
     return von_neumann_entropy(reduced(rho, (0,)))  # entropy_a
 
 
-PAIRS = {"concurrence_ab": (0, 1), "concurrence_ac": (0, 2), "concurrence_bc": (1, 2)}
-TRACED_MEASURES = [m for m in sweep.MEASURE_IDS if m != "three_tangle"]
-
-
 class TestStackedEqualsPerPoint:
     """run_sweep evaluates whole chunks; every value must equal, bit for bit,
     the one-point public call at that point."""
@@ -690,6 +690,11 @@ class TestFigurePresets:
         written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path, _ in run_figure(name, tmp_path)}
         assert written == golden
 
+    def test_presets_print_every_fidelity_target_and_pair(self):
+        # so a wrong entry of either map moves a golden hash, though no test keeps its own copy
+        printed = {m for sweeps in sweep._PRESETS.values() for _, _, measures, _ in sweeps for m in measures}
+        assert {*FIDELITY_TARGETS, *PAIRS} <= printed
+
     def test_unknown_preset(self, tmp_path):
         with pytest.raises(ValueError, match="unknown figure preset"):
             run_figure("9z", tmp_path)
@@ -768,27 +773,16 @@ class TestStreamedFigures:
     @pytest.mark.parametrize("name", ["1a", "1b", "2a", "2b", "1c", "2c"])
     def test_batched_fidelity_text_equals_per_point_vdot(self, tmp_path, name, per_point_amplitudes):
         # Recompute every row the per-point way: one transform and one np.vdot per point.
+        _, *columns = preset_values(name)
         for path, _ in run_figure(name, tmp_path):
             lines = path.read_text().splitlines()
             assert lines[0] == CSV_HEADER
             for line in lines[1:]:
-                state, alpha, o1, o2, o3, measure, value = line.split(",")
-                angles = tuple(AXIS_VALUES[name][text] for text in (o1, o2, o3))
+                state, _, *angles, measure, value = line.split(",")
+                angles = tuple(values[text] for values, text in zip(columns, angles))
                 target = make_state(FIDELITY_TARGETS[measure]).amplitudes
                 expected = abs(np.vdot(per_point_amplitudes(state, angles), target)) ** 2
                 assert value == format(expected, ".12g"), line
-
-
-FIDELITY_TARGETS = {
-    "fidelity_gplus": "ghz_plus",
-    "fidelity_gminus": "ghz_minus",
-    "fidelity_w": "w",
-    "fidelity_wprime": "w_prime",
-}
-AXIS_VALUES = {
-    name: {format(float(v), ".12g"): float(v) for v in SweepGrid(0.0, TWO_PI, count).values()}
-    for name, count in {"1a": 129, "1b": 129, "2a": 129, "2b": 129, "1c": 257, "2c": 257}.items()
-}
 
 
 @pytest.fixture(scope="module")
