@@ -127,7 +127,7 @@ def von_neumann_entropy_batch(matrices) -> np.ndarray:
         spectra = _qubit_spectra(m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 1, 0]))
     else:
         spectra = np.linalg.eigvalsh(m)
-    logs = np.log2(spectra, out=np.zeros_like(spectra), where=spectra > 0.0)
+    logs = np.log2(spectra, out=np.zeros(spectra.shape, spectra.dtype), where=spectra > 0.0)
     # 0.0 - x is -x except at x = 0.0, a pure state's sum, where -x would be -0.0
     return 0.0 - (spectra * logs).sum(axis=-1)
 
@@ -146,7 +146,7 @@ def clamp_capacity_batch(raw) -> np.ndarray:
     # Subadditivity keeps the exact value in [0, 2]; only roundoff can leave it.
     raw = np.asarray(raw, dtype=float)
     inside = (raw >= 0.0) & (raw <= 2.0)
-    if inside.all():
+    if np.count_nonzero(inside) == inside.size:
         return raw
     outside = raw[~inside]
     finite = np.isfinite(outside)
@@ -190,7 +190,7 @@ def average_capacity_batch(matrices):
     for bit to an earlier pair's at its point shares that joint entropy
     (:func:`batch_with_reuse`); one state's three go to the kernel in one call.
     """
-    pairs = np.stack([partial_trace(matrices, pair) for pair in ((0, 1), (0, 2), (1, 2))])
+    pairs = np.array([partial_trace(matrices, pair) for pair in ((0, 1), (0, 2), (1, 2))])
     senders = von_neumann_entropy_batch(partial_trace(pairs, (0,)))
     joint = batch_with_reuse(von_neumann_entropy_batch, pairs.reshape(3, -1, 4, 4))
     return _with_mean(*_capacities(senders, joint.reshape(senders.shape)))
@@ -205,7 +205,7 @@ def pure_capacity_batch(amplitudes):
     1 + S(rho_i) - S(rho_k). The one-qubit marginals rho_q come from
     :func:`~wignerqi.qmath.pure_reductions`, so no BLAS call sets their roundoff.
     """
-    entropies = von_neumann_entropy_batch(np.stack([pure_reductions(amplitudes, (q,)) for q in range(3)]))
+    entropies = von_neumann_entropy_batch(np.array([pure_reductions(amplitudes, (q,)) for q in range(3)]))
     # pairs ab, ac, bc: senders 0, 0, 1; S(rho_ab) = S(rho_2), S(rho_ac) = S(rho_1), S(rho_bc) = S(rho_0)
     return _with_mean(*_capacities(entropies[[0, 0, 1]], entropies[[2, 1, 0]]))
 
@@ -247,7 +247,8 @@ def concurrence_batch(pairs) -> np.ndarray:
     # (eigvalsh sorts ascending, so the last column is mu_max.)
     floor = np.maximum(mu[..., -1:], 0.0) * _SPECTRUM_FLOOR
     lam = np.sqrt(np.where(mu > floor, mu, 0.0))
-    return np.maximum(0.0, 2.0 * lam.max(axis=-1) - lam.sum(axis=-1))
+    # mu ascends, and the floor and the sqrt keep that order: lambda_max is the last column
+    return np.maximum(0.0, 2.0 * lam[..., -1] - lam.sum(axis=-1))
 
 
 def concurrence(rho: DensityOperator) -> float:
@@ -268,9 +269,11 @@ def three_tangle_batch(amplitudes):
     # Re(a*b - c*d) in real arithmetic: numpy's complex array product may fuse
     # multiply-adds, the real ufuncs round each product once
     det = (a.real * b.real - a.imag * b.imag) - (c.real * d.real - c.imag * d.imag)
-    det = np.clip(det, 0.0, 0.25)  # p(1-p) for a qubit marginal; clamp roundoff
+    # p(1-p) for a qubit marginal; clamp roundoff. A zero's sign may differ from
+    # np.clip's, and squaring the one-tangle drops it.
+    det = np.minimum(np.maximum(det, 0.0), 0.25)
     one_tangle = 2.0 * np.sqrt(det)
-    c_first, c_second = concurrence_batch(np.stack([pure_reductions(amplitudes, pair) for pair in ((0, 1), (0, 2))]))
+    c_first, c_second = concurrence_batch(np.array([pure_reductions(amplitudes, pair) for pair in ((0, 1), (0, 2))]))
     one_sq = one_tangle * one_tangle
     c12_sq = c_first * c_first
     c13_sq = c_second * c_second

@@ -31,16 +31,22 @@ def _kept_first(dim: int, keep, shape, blocks: bool) -> np.ndarray:
         raise ValueError(f"expected rows of 2**n entries or square 2**n x 2**n matrices with n >= 1, got shape {shape}")
     try:
         qubits = tuple(keep)
-    except TypeError:
-        qubits = ()
-    if not qubits or not all(isinstance(q, (int, np.integer)) and type(q) is not bool for q in qubits):
-        raise ValueError(f"keep must be a nonempty sequence of int qubit indices, got {keep!r}")
-    # keyed on Python ints once bools are refused, so (True,) cannot reuse the table of (1,)
-    return _index_table(dim.bit_length() - 1, tuple(map(int, qubits)), blocks)
+        # each element's type is part of the key: (True,), (1.0,) and (1,) are equal and hash alike
+        return _index_table(dim.bit_length() - 1, blocks, qubits, *map(type, qubits))
+    except TypeError:  # keep is not iterable, or holds an element that is no int index
+        raise ValueError(f"keep must be a nonempty sequence of int qubit indices, got {keep!r}") from None
 
 
 @functools.lru_cache(maxsize=64)
-def _index_table(qubit_count: int, keep: tuple, blocks: bool) -> np.ndarray:
+def _index_table(qubit_count: int, blocks: bool, keep: tuple, *types) -> np.ndarray:
+    """The checked table of :func:`_kept_first`; ``types`` are those of ``keep``'s elements.
+
+    A refused ``keep`` raises, so the cache never holds it: ``TypeError`` for
+    an empty one or one with an element that is not a non-bool int.
+    """
+    if not keep or not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
+        raise TypeError
+    keep = tuple(map(int, keep))
     if keep[0] < 0 or keep[-1] >= qubit_count or any(b <= a for a, b in zip(keep, keep[1:])):
         raise ValueError(f"keep must be strictly increasing qubit indices below {qubit_count}, got {keep}")
     traced = [q for q in range(qubit_count) if q not in keep]
@@ -103,7 +109,7 @@ def matrix_sqrt_psd(matrix) -> np.ndarray:
     values, vectors = np.linalg.eigh(np.asarray(matrix, dtype=complex))
     # eigh sorts ascending; the root sums its terms in descending order, and
     # ascending order would change the roundoff of the traced concurrences
-    values = np.clip(values[..., ::-1], 0.0, None)
+    values = np.maximum(values[..., ::-1], 0.0)
     vectors = vectors[..., ::-1]
     root = (vectors * np.sqrt(values)[..., None, :]) @ vectors.conj().mT
     del vectors

@@ -422,6 +422,32 @@ class TestBatchWithReuse:
                     assert np.array_equal(subset.view(np.uint64), whole[mask].view(np.uint64)), (kernel, name)
 
 
+def test_kernel_clamps_match_np_clip_bit_for_bit(rng):
+    # matrix_sqrt_psd floors its spectrum with np.maximum, and three_tangle_batch
+    # clamps its determinant with np.maximum then np.minimum: each gives np.clip's
+    # bits wherever the kernel's result reads them
+    special = np.array([-0.0, 0.0, -5e-324, 5e-324, np.nan, -np.nan, np.inf, -np.inf, 0.25, -0.25, 1.0])
+    factors = rng.standard_normal((200, 4, 2)) + 1j * rng.standard_normal((200, 4, 2))
+    spectra = np.linalg.eigvalsh(factors @ factors.conj().mT).ravel()  # half of them ~ +-eps
+    near_quarter = 0.25 + rng.standard_normal(200) * 1e-16
+    values = np.concatenate([special, spectra, near_quarter, -spectra[::7]])
+
+    def bits(x):
+        return np.asarray(x).view(np.uint64)
+
+    grid = values[: values.size // 8 * 8].reshape(-1, 8)
+    for x in (values, values[::3], values[::-1], grid[:, 1::3], np.ascontiguousarray(grid[:, 1::3])):
+        np.testing.assert_array_equal(bits(np.maximum(x, 0.0)), bits(np.clip(x, 0.0, None)))
+        clamped, clipped = np.minimum(np.maximum(x, 0.0), 0.25), np.clip(x, 0.0, 0.25)
+        # np.clip may keep -0.0 where the pair gives +0.0; every other value
+        # agrees, and the tangle reads the clamp only as (2 sqrt(det))**2
+        nonzero = clipped != 0.0
+        assert np.count_nonzero(nonzero) > x.size // 4
+        np.testing.assert_array_equal(bits(clamped[nonzero]), bits(clipped[nonzero]))
+        one, one_clipped = 2.0 * np.sqrt(clamped), 2.0 * np.sqrt(clipped)
+        np.testing.assert_array_equal(bits(one * one), bits(one_clipped * one_clipped))
+
+
 class TestTangle:
     def test_one_tangle_examples(self):
         # squared one-tangles 4 det(rho_0): 1, 0 and 8/9
